@@ -11,9 +11,11 @@ topological ordinal per PO attribute) with the exact t-dominance check:
    head entry has a strictly smaller mindist and has therefore already been
    examined (*precedence*).
 3. Check each de-heaped entry for t-dominance against the skyline found so
-   far — either by scanning the skyline list or, with the optimizations of
-   Section IV-B enabled, through the dyadic-range cache and the main-memory
-   R-tree of virtual points.  Because the check is *exact*, a non-dominated
+   far — either through the kernel skyline store (an MBB is tested with one
+   reach-end lookup per PO attribute over the domain's closure) or, with
+   the TSS* optimization of Section IV-B enabled, through the main-memory
+   R-tree of virtual points and the dyadic-range cache that feeds it its
+   MBB interval sets.  Because the check is *exact*, a non-dominated
    entry is immediately a true skyline point and is reported (optimal
    progressiveness); a dominated MBB prunes its entire subtree.
 """
@@ -77,7 +79,10 @@ def stss_skyline(
         experiments also run TSS without it "for fairness").
     use_dyadic_cache:
         Enable the dyadic-range pre-computation of MBB interval sets
-        (Section IV-B, first optimization).
+        (Section IV-B, first optimization).  Only the TSS* path
+        (``use_virtual_rtree``) reads MBB interval sets, so this setting
+        has no effect otherwise: the kernel store decides an MBB from the
+        PO closure's reach-end table.
     max_entries:
         R-tree fanout used when the data R-tree is built here.
     disk:

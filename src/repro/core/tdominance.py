@@ -16,8 +16,15 @@ everywhere": at least as good on the TO dimensions and t-preferred-or-equal
 on the PO dimensions.
 
 The same checker also decides t-dominance of an MBB (a point t-dominates an
-MBB when it would t-dominate every possible point inside it), using the
-merged interval set of the MBB's ``A_TO`` range per PO attribute.
+MBB when it would t-dominate every possible point inside it): per PO
+attribute the point must be t-preferred-or-equal to every value whose
+``A_TO`` ordinal lies in the MBB's range.  The kernel stores answer that
+with one reach-end lookup over the PO closure
+(:attr:`~repro.kernels.tables.TDominanceTables.reach_end`); the scalar
+:meth:`TDominanceChecker.dominates_mbb` keeps the paper's formulation — the
+point's interval set must cover the range's merged interval set — and the
+dyadic-range cache that serves it is built only when asked for, i.e. by the
+TSS* virtual-R-tree path.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from repro.core.dyadic import DyadicIntervalCache
 from repro.core.mapping import MappedPoint, TSSMapping
 from repro.kernels import TDominanceTables, resolve_kernel
 from repro.order.encoding import DomainEncoding
-from repro.order.intervals import IntervalSet, covers_many
+from repro.order.intervals import IntervalSet
 
 Value = Hashable
 
@@ -52,7 +59,14 @@ def tdominance_tables(mapping: TSSMapping) -> TDominanceTables:
 
 
 class TDominanceChecker:
-    """t-dominance between mapped points / MBBs for one :class:`TSSMapping`."""
+    """t-dominance between mapped points / MBBs for one :class:`TSSMapping`.
+
+    ``use_dyadic_cache`` only affects :meth:`range_interval_set`, which the
+    TSS* virtual-R-tree path and the scalar :meth:`dominates_mbb` consult:
+    the per-attribute :class:`~repro.core.dyadic.DyadicIntervalCache` is
+    built on the first such call.  The kernel-backed store tests never touch
+    interval sets.
+    """
 
     def __init__(
         self, mapping: TSSMapping, *, use_dyadic_cache: bool = True, kernel=None
@@ -60,16 +74,8 @@ class TDominanceChecker:
         self.mapping = mapping
         self.encodings: tuple[DomainEncoding, ...] = mapping.encodings
         self.kernel = resolve_kernel(kernel)
+        self.use_dyadic_cache = use_dyadic_cache
         self._dyadic: list[DyadicIntervalCache] | None = None
-        if use_dyadic_cache:
-            self._dyadic = [DyadicIntervalCache(encoding) for encoding in self.encodings]
-        # Hot-path caches: postorder number and interval set per PO value.
-        self._posts: tuple[dict[Value, int], ...] = tuple(
-            dict(encoding.tree.post) for encoding in self.encodings
-        )
-        self._interval_sets: tuple[dict[Value, IntervalSet], ...] = tuple(
-            dict(encoding.intervals) for encoding in self.encodings
-        )
 
     # ------------------------------------------------------------------ #
     # Value-level checks
@@ -79,9 +85,11 @@ class TDominanceChecker:
 
     def range_interval_set(self, po_index: int, low_ordinal: int, high_ordinal: int) -> IntervalSet:
         """Merged interval set of an ``A_TO`` ordinal range (dyadic cache when enabled)."""
-        if self._dyadic is not None:
-            return self._dyadic[po_index].range_interval_set(low_ordinal, high_ordinal)
-        return self.encodings[po_index].range_interval_set(low_ordinal, high_ordinal)
+        if not self.use_dyadic_cache:
+            return self.encodings[po_index].range_interval_set(low_ordinal, high_ordinal)
+        if self._dyadic is None:
+            self._dyadic = [DyadicIntervalCache(encoding) for encoding in self.encodings]
+        return self._dyadic[po_index].range_interval_set(low_ordinal, high_ordinal)
 
     # ------------------------------------------------------------------ #
     # Point-level checks
@@ -113,12 +121,10 @@ class TDominanceChecker:
         for a, b in zip(p.to_values, q.to_values):
             if a > b:
                 return False
-        for po_index, (value_p, value_q) in enumerate(zip(p.po_values, q.po_values)):
+        for encoding, value_p, value_q in zip(self.encodings, p.po_values, q.po_values):
             if value_p == value_q:
                 continue
-            if not self._interval_sets[po_index][value_p].contains_point(
-                self._posts[po_index][value_q]
-            ):
+            if not encoding.interval_set(value_p).contains_point(encoding.post_of(value_q)):
                 return False
         return True
 
@@ -148,7 +154,7 @@ class TDominanceChecker:
             low_ordinal = int(low[offset + po_index])
             high_ordinal = int(high[offset + po_index])
             range_set = self.range_interval_set(po_index, low_ordinal, high_ordinal)
-            point_set = self._interval_sets[po_index][p.po_values[po_index]]
+            point_set = self.encodings[po_index].interval_set(p.po_values[po_index])
             if not point_set.covers(range_set):
                 return False
         return True
@@ -203,47 +209,6 @@ class TDominanceChecker:
             q.to_values, store.codes_of(q), counter, start=start
         )
 
-    def _range_sets_and_mbis(
-        self, low: Sequence[float], high: Sequence[float]
-    ) -> tuple[list[IntervalSet], list[tuple[float, float]]]:
-        """Merged range interval sets + their MBIs for one MBB's PO ranges."""
-        offset = self.mapping.to_offset
-        range_sets = [
-            self.range_interval_set(
-                po_index, int(low[offset + po_index]), int(high[offset + po_index])
-            )
-            for po_index in range(self.mapping.num_partial_order)
-        ]
-        range_mbis = [
-            (rs.intervals[0].low, rs.intervals[-1].high)
-            if rs
-            else (float("inf"), float("-inf"))
-            for rs in range_sets
-        ]
-        return range_sets, range_mbis
-
-    def _any_candidate_covers(
-        self,
-        store: "TDominanceSkylineStore",
-        alive: list[int],
-        range_sets: list[IntervalSet],
-    ) -> bool:
-        """Exact phase: does any surviving member cover every range set?"""
-        if not alive:
-            return False
-        tables = store.tables
-        for po_index, range_set in enumerate(range_sets):
-            if not len(range_set):
-                continue  # an empty range set is covered trivially
-            cover_sets = [
-                tables.interval_sets[po_index][store.codes[i][po_index]] for i in alive
-            ]
-            covered = covers_many(cover_sets, range_set, self.kernel)
-            alive = [i for i, flag in zip(alive, covered) if flag]
-            if not alive:
-                return False
-        return True
-
     def store_dominates_mbb(
         self,
         store: "TDominanceSkylineStore",
@@ -255,36 +220,31 @@ class TDominanceChecker:
     ) -> bool:
         """Batched form of :meth:`mbb_dominated_by_any` over a store.
 
-        Necessary conditions (TO corner, ordinal bound, minimum-bounding-
-        interval containment) are evaluated vectorized over the whole store;
-        only the survivors go through the exact interval-containment matrix
-        of :meth:`DominanceKernel.covers_many
-        <repro.kernels.base.DominanceKernel.covers_many>`.  ``start``
+        One :meth:`TDominanceStore.mbb_dominated
+        <repro.kernels.base.TDominanceStore.mbb_dominated>` call: the MBB's
+        PO ordinal ranges become code ranges (``ordinal - 1``).  ``start``
         restricts the scan to members appended at or after that index (the
         windowed sTSS suffix re-check).
         """
         offset = self.mapping.to_offset
-        range_sets, range_mbis = self._range_sets_and_mbis(low, high)
-        alive = store.kernel_store.mbb_candidates(
-            low[:offset], low[offset:], range_mbis, counter, start=start
+        return store.kernel_store.mbb_dominated(
+            low[:offset],
+            [int(v) - 1 for v in low[offset:]],
+            [int(v) - 1 for v in high[offset:]],
+            counter,
+            start=start,
         )
-        return self._any_candidate_covers(store, alive, range_sets)
 
 
 class TDominanceSkylineStore:
-    """The skyline found so far, mirrored into a kernel store.
+    """The skyline found so far, mirrored into a kernel store."""
 
-    Keeps the members' PO codes on the Python side as well, because the exact
-    MBB phase needs each survivor's interval set.
-    """
-
-    __slots__ = ("checker", "tables", "kernel_store", "codes")
+    __slots__ = ("checker", "tables", "kernel_store")
 
     def __init__(self, checker: TDominanceChecker) -> None:
         self.checker = checker
         self.tables = tdominance_tables(checker.mapping)
         self.kernel_store = checker.kernel.tdominance_store(self.tables)
-        self.codes: list[tuple[int, ...]] = []
 
     def codes_of(self, point: MappedPoint) -> tuple[int, ...]:
         """PO codes (topological position, 0-based) of one mapped point.
@@ -295,12 +255,10 @@ class TDominanceSkylineStore:
         return self.checker.mapping.point_codes[point.index]
 
     def append(self, point: MappedPoint) -> None:
-        codes = self.codes_of(point)
-        self.kernel_store.append(point.to_values, codes)
-        self.codes.append(codes)
+        self.kernel_store.append(point.to_values, self.codes_of(point))
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.kernel_store)
 
 
 class TDominanceWindow:
@@ -308,9 +266,9 @@ class TDominanceWindow:
 
     The t-dominance twin of
     :class:`~repro.index.flat.VectorDominanceWindow`: at a node expansion
-    all children are screened against the skyline store in one kernel call
-    (:meth:`TDominanceStore.mbb_block_candidates
-    <repro.kernels.base.TDominanceStore.mbb_block_candidates>` for MBBs,
+    all children are tested against the skyline store in one kernel call
+    (:meth:`TDominanceStore.mbb_block_dominated
+    <repro.kernels.base.TDominanceStore.mbb_block_dominated>` for MBBs,
     :meth:`TDominanceStore.block_weakly_dominated
     <repro.kernels.base.TDominanceStore.block_weakly_dominated>` for leaf
     points), and each child's own pop re-examines only the members appended
@@ -323,51 +281,38 @@ class TDominanceWindow:
     so the window needs no payload lookups.
     """
 
-    __slots__ = ("checker", "store", "_offset", "_num_po")
+    __slots__ = ("checker", "store", "_offset")
 
     def __init__(self, checker: TDominanceChecker, store: TDominanceSkylineStore) -> None:
         self.checker = checker
         self.store = store
         self._offset = checker.mapping.to_offset
-        self._num_po = checker.mapping.num_partial_order
 
     def size(self) -> int:
         return len(self.store)
 
     def block_points(self, rows, counter) -> list[bool]:
-        """Per leaf point: weakly t-dominated by any current member?"""
+        """Per leaf point: weakly t-dominated by any current member?
+
+        ``rows`` is a row block of the flat tree's point matrix; the ordinal
+        columns minus one are the codes.
+        """
         offset = self._offset
-        to_rows = [row[:offset] for row in rows]
-        code_rows = [tuple(int(v) - 1 for v in row[offset:]) for row in rows]
         return self.store.kernel_store.block_weakly_dominated(
-            to_rows, code_rows, counter
+            rows[:, :offset], rows[:, offset:] - 1, counter
         )
 
     def block_rects(self, lows, highs, counter) -> list[bool]:
         """Per child MBB: t-dominated by any current member?
 
-        Necessary conditions run batched over (members, children); the exact
-        interval-containment phase runs per child on its survivors only.
+        ``lows``/``highs`` are row blocks of the flat tree's node arrays,
+        sliced like :meth:`block_points` rows; the ordinal ranges minus one
+        are the code ranges.
         """
-        checker = self.checker
         offset = self._offset
-        to_lows = []
-        ordinal_lows = []
-        mbis_list = []
-        range_sets_list = []
-        for low, high in zip(lows, highs):
-            range_sets, range_mbis = checker._range_sets_and_mbis(low, high)
-            range_sets_list.append(range_sets)
-            mbis_list.append(range_mbis)
-            to_lows.append(low[:offset])
-            ordinal_lows.append(low[offset:])
-        candidate_lists = self.store.kernel_store.mbb_block_candidates(
-            to_lows, ordinal_lows, mbis_list, counter
+        return self.store.kernel_store.mbb_block_dominated(
+            lows[:, :offset], lows[:, offset:] - 1, highs[:, offset:] - 1, counter
         )
-        return [
-            checker._any_candidate_covers(self.store, alive, range_sets)
-            for alive, range_sets in zip(candidate_lists, range_sets_list)
-        ]
 
     def point_suffix(self, point, start: int, counter) -> bool:
         codes = tuple(int(v) - 1 for v in point[self._offset :])

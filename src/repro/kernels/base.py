@@ -6,10 +6,10 @@ every skyline algorithm in this library:
 * **vector dominance** — classical componentwise ``<=`` / ``<`` tests between
   numeric vectors (BBS, SaLSa, the baselines' m-dominance);
 * **record dominance** — ground-truth dominance over mixed TO/PO schemas via
-  precomputed preference matrices (BNL, SFS, LESS, cross-examination);
+  precomputed preference closures (BNL, SFS, LESS, cross-examination);
 * **t-dominance** — the paper's exact relation over TSS mapped points via
-  t-preference matrices, interval-containment tests and minimum-bounding-
-  interval prefilters (sTSS, dTSS).
+  the PO closures (point tests) and their reach-end tables (MBB tests)
+  (sTSS, dTSS).
 
 Kernels expose *stores* — growing collections queried against one candidate
 at a time (the universal access pattern of skyline loops: a skyline/window
@@ -232,50 +232,46 @@ class TDominanceStore(ABC):
         """
 
     @abstractmethod
-    def mbb_candidates(
+    def mbb_dominated(
         self,
         to_low: Sequence[float],
-        ordinal_low: Sequence[float],
-        range_mbis: Sequence[tuple[float, float]],
+        code_low: Sequence[int],
+        code_high: Sequence[int],
         counter=None,
         *,
         start: int = 0,
-    ) -> list[int]:
-        """Member indices >= ``start`` that may t-dominate an MBB.
+    ) -> bool:
+        """Does a member at index >= ``start`` t-dominate an MBB?
 
-        A member survives the necessary conditions when it is at least as
-        good as the MBB's best corner on every TO dimension, its ordinal does
-        not exceed the MBB's low ordinal per PO attribute, and its interval
-        set's minimum bounding interval contains the MBB range set's MBI per
-        PO attribute (``range_mbis`` holds one ``(low, high)`` pair per
-        attribute; pass ``(inf, -inf)`` to disable the MBI condition for an
-        attribute).  Returned indices are absolute store positions.  The
-        exact interval-containment verdict is left to
-        :meth:`DominanceKernel.covers_many` on the survivors.  See
-        :meth:`any_weakly_dominates` for ``start``.
+        A member t-dominates the MBB when it is at least as good as the
+        MBB's best corner (``to_low``) on every TO dimension and, per PO
+        attribute, preferred-or-equal to every code in ``[code_low,
+        code_high]`` (the MBB's ordinal range minus one) — one reach-end
+        lookup, see :attr:`TDominanceTables.reach_end
+        <repro.kernels.tables.TDominanceTables.reach_end>`.  Every backend
+        charges one check per member scanned from ``start``, early exit or
+        not.  See :meth:`any_weakly_dominates` for ``start``.
         """
 
-    def mbb_block_candidates(
+    def mbb_block_dominated(
         self,
         to_lows,
-        ordinal_lows,
-        range_mbis_list,
+        code_lows,
+        code_highs,
         counter=None,
-    ) -> list[list[int]]:
-        """Per MBB: the :meth:`mbb_candidates` survivor indices, batched.
+    ) -> list[bool]:
+        """Per MBB: the :meth:`mbb_dominated` verdict, batched.
 
-        The sTSS expansion primitive: a popped node's children are screened
+        The sTSS expansion primitive: a popped node's children are tested
         against the whole skyline store in one call (``to_lows``,
-        ``ordinal_lows`` and ``range_mbis_list`` are parallel sequences, one
-        entry per child MBB).  The reference implementation loops
-        :meth:`mbb_candidates`; vectorized backends override it with one
-        members-by-MBBs comparison.
+        ``code_lows`` and ``code_highs`` are parallel row blocks, one row per
+        child MBB).  The reference implementation loops
+        :meth:`mbb_dominated`; vectorized backends override it with one
+        members-by-MBBs gather.
         """
         return [
-            self.mbb_candidates(to_low, ordinal_low, range_mbis, counter=counter)
-            for to_low, ordinal_low, range_mbis in zip(
-                to_lows, ordinal_lows, range_mbis_list
-            )
+            self.mbb_dominated(to_low, low, high, counter=counter)
+            for to_low, low, high in zip(to_lows, code_lows, code_highs)
         ]
 
 
@@ -368,17 +364,6 @@ class DominanceKernel(ABC):
             list(zip(target_to, target_codes)),
             counter=counter,
         )
-
-    @abstractmethod
-    def covers_many(
-        self, cover_sets: Sequence[IntervalSet], target: IntervalSet
-    ) -> list[bool]:
-        """Per cover set: does it contain every interval of ``target``?
-
-        The batched form of :meth:`IntervalSet.covers
-        <repro.order.intervals.IntervalSet.covers>` — one interval-containment
-        matrix between all member intervals and the target's intervals.
-        """
 
     # ------------------------------------------------------------------ #
     # Shared helpers

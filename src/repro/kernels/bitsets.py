@@ -1,25 +1,23 @@
 """Bitset-packed dominance closures for partially ordered domains.
 
-A :class:`~repro.kernels.tables.PreferenceTable` answers "is value ``i``
-preferred over or equal to value ``j``" with one boolean-matrix lookup.  For
-kernel hot loops the same relation packs into ``uint64`` *bitset rows*: row
-``i`` holds ``cardinality`` bits, bit ``j`` set iff ``i`` is
-preferred-or-equal to ``j``.  A t-dominance test over ``d`` PO attributes is
-then ``d`` shift-AND-compare word operations on a structure 8x smaller than
-the boolean matrix (cache-resident even for large domains), and the packed
-rows feed the JIT kernels as one contiguous ``(attribute, code, word)``
-array.
+A :class:`~repro.kernels.tables.PreferenceTable` holds the relation "value
+``i`` is preferred over or equal to value ``j``" as one int bitset per code
+(``closure[i]``, bit ``j``).  For kernel hot loops the same rows split into
+``uint64`` words: a t-dominance test over ``d`` PO attributes is then ``d``
+shift-AND-compare word operations on a structure that stays cache-resident
+even for large domains, and the packed rows feed the JIT kernels as one
+contiguous ``(attribute, code, word)`` array.
 
-Bitsets are built once per table from the DAG-reachability closure the
-table already carries (``pref_or_equal`` rows) and cached on the tables'
-``scratch`` dict, so every store built over the same tables shares them.
-The module itself is dependency-free; the NumPy packings are produced by
-helpers whose imports stay function-scope (pure-Python checkouts import
-this module cleanly).
+Everything here is cut straight from the tables' closure ints — no
+per-pair flag loop — and cached on the tables' ``scratch`` dict, so every
+store built over the same tables shares it.  The module itself is
+dependency-free; the NumPy packings are produced by helpers whose imports
+stay function-scope (pure-Python checkouts import this module cleanly).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -46,22 +44,13 @@ class DominanceBitset:
 
     @classmethod
     def from_table(cls, table: PreferenceTable) -> "DominanceBitset":
-        """Pack one table's reachability closure into bitset rows."""
-        cardinality = table.cardinality
-        num_words = max(1, (cardinality + WORD_BITS - 1) // WORD_BITS)
-        rows = []
-        for prefs in table.pref_or_equal:
-            packed = 0
-            for worse, flag in enumerate(prefs):
-                if flag:
-                    packed |= 1 << worse
-            rows.append(
-                tuple(
-                    (packed >> (WORD_BITS * word)) & _WORD_MASK
-                    for word in range(num_words)
-                )
-            )
-        return cls(cardinality=cardinality, num_words=num_words, rows=tuple(rows))
+        """Split one table's closure ints into 64-bit words."""
+        num_words = max(1, (table.cardinality + WORD_BITS - 1) // WORD_BITS)
+        rows = tuple(
+            tuple((row >> (WORD_BITS * word)) & _WORD_MASK for word in range(num_words))
+            for row in table.closure
+        )
+        return cls(cardinality=table.cardinality, num_words=num_words, rows=rows)
 
     def test(self, better: int, worse: int) -> bool:
         """Is ``better`` preferred-or-equal to ``worse``?  One shift-AND."""
@@ -79,6 +68,21 @@ def dominance_bitsets(
         )
         tables.scratch["bitsets"] = cached
     return cached
+
+
+def closure_matrix(closure: Sequence[int], width: int) -> "np.ndarray":
+    """``(len(closure), width)`` boolean matrix of closure ints (NumPy)."""
+    import numpy as np
+
+    row_bytes = max(1, (width + 7) // 8)
+    raw = b"".join(row.to_bytes(row_bytes, "little") for row in closure)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(closure), row_bytes),
+        axis=1,
+        count=width,
+        bitorder="little",
+    )
+    return bits.astype(bool)
 
 
 def attribute_word_arrays(
@@ -113,16 +117,12 @@ def packed_word_cube(tables: RecordTables | TDominanceTables) -> "np.ndarray":
     if cached is None:
         import numpy as np
 
-        bitsets = dominance_bitsets(tables)
-        max_card = max((b.cardinality for b in bitsets), default=0)
-        max_words = max((b.num_words for b in bitsets), default=1)
-        cube = np.zeros(
-            (len(bitsets), max(1, max_card), max(1, max_words)), dtype=np.uint64
-        )
-        for attribute, bitset in enumerate(bitsets):
-            for code, row in enumerate(bitset.rows):
-                for word, value in enumerate(row):
-                    cube[attribute, code, word] = value
+        arrays = attribute_word_arrays(tables)
+        max_card = max((len(words) for words in arrays), default=0)
+        max_words = max((words.shape[1] for words in arrays), default=1)
+        cube = np.zeros((len(arrays), max(1, max_card), max_words), dtype=np.uint64)
+        for attribute, words in enumerate(arrays):
+            cube[attribute, : words.shape[0], : words.shape[1]] = words
         cached = cube
         tables.scratch["numpy_bitset_cube"] = cached
     return cached

@@ -268,59 +268,52 @@ def _td_block_weakly_dominated(to_block, code_block, tgt_to, tgt_codes, words, n
 
 
 @njit(cache=True)
-def _td_mbb_candidates(
-    to_block,
-    code_block,
-    to_low,
-    ordinal_low,
-    mbi_low,
-    mbi_high,
-    range_mbi_low,
-    range_mbi_high,
-    num_po,
+def _td_covers_mbb_row(to_block, code_block, i, to_low, code_low, code_high, reach, num_po):
+    for j in range(to_low.shape[0]):
+        if to_block[i, j] > to_low[j]:
+            return False
+    for k in range(num_po):
+        if reach[k, code_block[i, k], code_low[k]] <= code_high[k]:
+            return False
+    return True
+
+
+@njit(cache=True)
+def _td_mbb_dominated(to_block, code_block, to_low, code_low, code_high, reach, num_po):
+    for i in range(to_block.shape[0]):
+        if _td_covers_mbb_row(
+            to_block, code_block, i, to_low, code_low, code_high, reach, num_po
+        ):
+            return True
+    return False
+
+
+@njit(cache=True)
+def _td_mbb_block_dominated(
+    to_block, code_block, to_lows, code_lows, code_highs, reach, num_po
 ):
-    n = to_block.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    count = 0
-    checks = 0
-    for i in range(n):
-        checks += 1
-        ok = True
-        for j in range(to_low.shape[0]):
-            if to_block[i, j] > to_low[j]:
-                ok = False
+    mask = np.zeros(to_lows.shape[0], dtype=np.bool_)
+    for t in range(to_lows.shape[0]):
+        for i in range(to_block.shape[0]):
+            if _td_covers_mbb_row(
+                to_block, code_block, i, to_lows[t], code_lows[t], code_highs[t], reach, num_po
+            ):
+                mask[t] = True
                 break
-        if not ok:
-            continue
-        for k in range(num_po):
-            code = code_block[i, k]
-            if code + 1 > ordinal_low[k]:
-                ok = False
-                break
-            if mbi_low[k, code] > range_mbi_low[k] or mbi_high[k, code] < range_mbi_high[k]:
-                ok = False
-                break
-        if ok:
-            out[count] = i
-            count += 1
-    return out[:count], checks
+    return mask
 
 
-def _mbi_matrices(tables: TDominanceTables) -> tuple[np.ndarray, np.ndarray]:
-    """Padded ``(num_po, max_cardinality)`` MBI bound matrices (scratch-cached)."""
-    cached = tables.scratch.get("jit_mbi")
+def _reach_cube(tables: TDominanceTables) -> np.ndarray:
+    """All attributes' reach-end tables as one zero-padded
+    ``(num_po, max_card, max_card)`` int32 cube (scratch-cached)."""
+    cached = tables.scratch.get("jit_reach_cube")
     if cached is None:
-        num_po = len(tables.mbi_low)
-        max_card = max((len(bounds) for bounds in tables.mbi_low), default=0)
-        low = np.zeros((max(1, num_po), max(1, max_card)), dtype=np.float64)
-        high = np.zeros((max(1, num_po), max(1, max_card)), dtype=np.float64)
-        for attribute in range(num_po):
-            bounds_low = tables.mbi_low[attribute]
-            bounds_high = tables.mbi_high[attribute]
-            low[attribute, : len(bounds_low)] = bounds_low
-            high[attribute, : len(bounds_high)] = bounds_high
-        cached = (low, high)
-        tables.scratch["jit_mbi"] = cached
+        reach = tables.reach_end
+        size = max((len(table) for table in reach), default=0)
+        cached = np.zeros((max(1, len(reach)), max(1, size), max(1, size)), dtype=np.int32)
+        for attribute, table in enumerate(reach):
+            cached[attribute, : len(table), : len(table)] = table
+        tables.scratch["jit_reach_cube"] = cached
     return cached
 
 
@@ -452,7 +445,7 @@ class JitTDominanceStore(NumpyTDominanceStore):
     def __init__(self, tables: TDominanceTables) -> None:
         super().__init__(tables)
         self._words = packed_word_cube(tables)
-        self._jit_mbi_low, self._jit_mbi_high = _mbi_matrices(tables)
+        self._reach_cube = _reach_cube(tables)
 
     def _q_codes(self, po_codes) -> np.ndarray:
         return np.asarray(
@@ -493,64 +486,58 @@ class JitTDominanceStore(NumpyTDominanceStore):
         charge(counter, checks)
         return mask.tolist()
 
-    def mbb_candidates(
+    def mbb_dominated(
         self,
         to_low: Sequence[float],
-        ordinal_low: Sequence[float],
-        range_mbis: Sequence[tuple[float, float]],
+        code_low: Sequence[int],
+        code_high: Sequence[int],
         counter=None,
         *,
         start: int = 0,
-    ) -> list[int]:
+    ) -> bool:
         to_block = self._to.view[start:] if start else self._to.view
         code_block = self._codes.view[start:] if start else self._codes.view
-        num_po = self._num_po
-        range_pairs = np.asarray(range_mbis, dtype=np.float64).reshape(
-            max(1, num_po), 2
-        ) if num_po else np.zeros((1, 2), dtype=np.float64)
-        survivors, checks = _td_mbb_candidates(
-            to_block,
-            code_block,
-            np.asarray(to_low, dtype=np.float64).reshape(
-                self.tables.num_total_order
-            ),
-            np.asarray(ordinal_low, dtype=np.float64).reshape(max(0, num_po))
-            if num_po
-            else np.zeros(0, dtype=np.float64),
-            self._jit_mbi_low,
-            self._jit_mbi_high,
-            np.ascontiguousarray(range_pairs[:, 0]),
-            np.ascontiguousarray(range_pairs[:, 1]),
-            num_po,
+        # Charged per member scanned, early exit or not (the shared MBB rule).
+        charge(counter, len(to_block))
+        return bool(
+            _td_mbb_dominated(
+                to_block,
+                code_block,
+                np.asarray(to_low, dtype=np.float64).reshape(self.tables.num_total_order),
+                self._q_codes(code_low),
+                self._q_codes(code_high),
+                self._reach_cube,
+                self._num_po,
+            )
         )
-        charge(counter, checks)
-        if start:
-            survivors = survivors + start
-        return survivors.tolist()
 
-    def mbb_block_candidates(
+    def mbb_block_dominated(
         self,
         to_lows,
-        ordinal_lows,
-        range_mbis_list,
+        code_lows,
+        code_highs,
         counter=None,
-    ) -> list[list[int]]:
-        # One compiled store scan per child MBB: same charges as the
-        # reference loop, no (members, mbbs) matrix.
-        return [
-            self.mbb_candidates(to_low, ordinal_low, range_mbis, counter=counter)
-            for to_low, ordinal_low, range_mbis in zip(
-                to_lows, ordinal_lows, range_mbis_list
-            )
-        ]
+    ) -> list[bool]:
+        lows = _as_to_block(to_lows, self.tables.num_total_order)
+        charge(counter, len(self) * len(lows))
+        mask = _td_mbb_block_dominated(
+            self._to.view,
+            self._codes.view,
+            lows,
+            _as_code_block(code_lows, self._num_po, len(lows)),
+            _as_code_block(code_highs, self._num_po, len(lows)),
+            self._reach_cube,
+            self._num_po,
+        )
+        return mask.tolist()
 
 
 class JitKernel(NumpyKernel):
     """numba-compiled backend (requires numba + NumPy; ``[jit]`` extra).
 
     Inherits the NumPy backend's stateless batch ops where vectorization is
-    already optimal (``covers_many``, low-dimension ``pareto_mask`` fast
-    paths) and replaces every store query plus the high-dimension Pareto
+    already optimal (the low-dimension ``pareto_mask`` fast paths) and
+    replaces every store query plus the high-dimension Pareto
     sweep with fused early-exit compiled loops.
     """
 
@@ -588,8 +575,7 @@ class JitKernel(NumpyKernel):
         q_to = np.zeros(2, dtype=np.float64)
         q_codes = np.zeros(1, dtype=np.int64)
         words = np.zeros((1, 1, 1), dtype=np.uint64)
-        mbi = np.zeros((1, 1), dtype=np.float64)
-        bound = np.zeros(1, dtype=np.float64)
+        reach = np.zeros((1, 1, 1), dtype=np.int32)
         _vec_any_dominates(to, q_to)
         _vec_any_weakly_dominates(to, q_to, True)
         _vec_block_dominated(to, to)
@@ -600,6 +586,7 @@ class JitKernel(NumpyKernel):
         _rec_block_dominated(to, codes, to, codes, words, 1)
         _td_any_weakly_dominates(to, codes, q_to, q_codes, words, 1)
         _td_block_weakly_dominated(to, codes, to, codes, words, 1)
-        _td_mbb_candidates(to, codes, q_to, bound, mbi, mbi, bound, bound, 1)
+        _td_mbb_dominated(to, codes, q_to, q_codes, q_codes, reach, 1)
+        _td_mbb_block_dominated(to, codes, to, codes, codes, reach, 1)
         self._warmed = True
         return True

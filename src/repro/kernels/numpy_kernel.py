@@ -2,8 +2,8 @@
 
 Stores keep their members in amortized-doubling arrays, so appends are O(1)
 and every query is a handful of vectorized comparisons over the whole block
-instead of a Python-level loop.  Preference / t-preference matrices are
-converted to boolean ``ndarray`` once per :class:`~repro.kernels.tables`
+instead of a Python-level loop.  Preference closures are converted to
+boolean or ``uint64`` word ``ndarray`` once per :class:`~repro.kernels.tables`
 object and cached in its ``scratch`` dict, so all stores sharing the tables
 share the arrays.
 
@@ -24,9 +24,8 @@ from repro.kernels.base import (
     VectorStore,
     charge,
 )
-from repro.kernels.bitsets import attribute_word_arrays
+from repro.kernels.bitsets import attribute_word_arrays, closure_matrix
 from repro.kernels.tables import RecordTables, TDominanceTables
-from repro.order.intervals import IntervalSet
 
 _INITIAL_CAPACITY = 16
 
@@ -85,7 +84,8 @@ def _pref_matrices(tables: RecordTables | TDominanceTables) -> list[np.ndarray]:
     cached = tables.scratch.get("numpy_pref")
     if cached is None:
         cached = [
-            np.array(table.pref_or_equal, dtype=bool) for table in tables.attributes
+            closure_matrix(table.closure, table.cardinality)
+            for table in tables.attributes
         ]
         tables.scratch["numpy_pref"] = cached
     return cached
@@ -122,21 +122,11 @@ def _block_dominated(
     return out
 
 
-def _mbi_arrays(tables: TDominanceTables) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    cached = tables.scratch.get("numpy_mbi")
-    if cached is None:
-        cached = (
-            [np.array(low, dtype=np.int64) for low in tables.mbi_low],
-            [np.array(high, dtype=np.int64) for high in tables.mbi_high],
-        )
-        tables.scratch["numpy_mbi"] = cached
-    return cached
-
-
 def _as_to_block(rows, num_to: int) -> np.ndarray:
     # The explicit row count matters when num_to == 0 (PO-only schemas):
-    # reshape(-1, 0) cannot infer it from a size-0 array.
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), num_to)
+    # reshape(-1, 0) cannot infer it from a size-0 array.  Column slices of
+    # a tree's matrices come in strided; the compiled loops expect C order.
+    return np.ascontiguousarray(rows, dtype=np.float64).reshape(len(rows), num_to)
 
 
 def _target_chunks(members: int, dims: int, targets: int):
@@ -342,17 +332,19 @@ class NumpyRecordStore(RecordStore):
 
 
 class NumpyTDominanceStore(TDominanceStore):
-    """T-dominance over bitset-packed closures.
+    """T-dominance over bitset-packed closures and reach-end tables.
 
-    PO preference is answered from the uint64 bitset rows of
+    Point tests gather from the uint64 bitset rows of
     :mod:`repro.kernels.bitsets` — one word gather plus shift-AND per
-    attribute — instead of gathering from the boolean preference matrices.
+    attribute.  MBB tests gather one entry per attribute from
+    :attr:`TDominanceTables.reach_end
+    <repro.kernels.tables.TDominanceTables.reach_end>`.
     """
 
     def __init__(self, tables: TDominanceTables) -> None:
         self.tables = tables
         self._bits = attribute_word_arrays(tables)
-        self._mbi_low, self._mbi_high = _mbi_arrays(tables)
+        self._reach = tables.reach_end
         self._to = _GrowableMatrix(tables.num_total_order, dtype=np.float64)
         self._codes = _GrowableMatrix(max(1, tables.num_partial_order), dtype=np.int64)
         self._num_po = tables.num_partial_order
@@ -415,62 +407,52 @@ class NumpyTDominanceStore(TDominanceStore):
             mask &= ((rows >> np.uint64(code & 63)) & np.uint64(1)).astype(bool)
         return bool(mask.any())
 
-    def mbb_candidates(
+    def mbb_dominated(
         self,
         to_low: Sequence[float],
-        ordinal_low: Sequence[float],
-        range_mbis: Sequence[tuple[float, float]],
+        code_low: Sequence[int],
+        code_high: Sequence[int],
         counter=None,
         *,
         start: int = 0,
-    ) -> list[int]:
+    ) -> bool:
         block_to = self._to.view[start:] if start else self._to.view
         charge(counter, len(block_to))
         if not len(block_to):
-            return []
+            return False
         block_codes = self._codes.view[start:] if start else self._codes.view
         mask = (block_to <= np.asarray(to_low, dtype=np.float64)).all(axis=1)
         for po_index in range(self._num_po):
-            codes = block_codes[:, po_index]
-            mbi_low, mbi_high = range_mbis[po_index]
-            mask &= codes + 1 <= ordinal_low[po_index]
-            mask &= self._mbi_low[po_index][codes] <= mbi_low
-            mask &= self._mbi_high[po_index][codes] >= mbi_high
-        survivors = np.flatnonzero(mask)
-        if start:
-            survivors = survivors + start
-        return survivors.tolist()
+            if not mask.any():
+                return False
+            reach = self._reach[po_index][block_codes[:, po_index], int(code_low[po_index])]
+            mask &= reach > int(code_high[po_index])
+        return bool(mask.any())
 
-    def mbb_block_candidates(
+    def mbb_block_dominated(
         self,
         to_lows,
-        ordinal_lows,
-        range_mbis_list,
+        code_lows,
+        code_highs,
         counter=None,
-    ) -> list[list[int]]:
-        num_mbbs = len(to_lows)
+    ) -> list[bool]:
+        lows = _as_to_block(to_lows, self.tables.num_total_order)
+        num_mbbs = len(lows)
         charge(counter, len(self) * num_mbbs)
         if not len(self) or not num_mbbs:
-            return [[] for _ in range(num_mbbs)]
-        block_to = self._to.view
+            return [False] * num_mbbs
         block_codes = self._codes.view
-        lows = _as_to_block(to_lows, self.tables.num_total_order)
-        # (members, mbbs) survivor matrix; fanout is node-capacity bounded,
+        # (members, mbbs) verdict matrix; fanout is node-capacity bounded,
         # so the broadcast stays small even against a large skyline store.
-        mask = (block_to[:, None, :] <= lows[None, :, :]).all(axis=2)
-        if self._num_po:
-            ordinals = np.asarray(ordinal_lows, dtype=np.float64).reshape(
-                num_mbbs, self._num_po
-            )
-            mbis = np.asarray(range_mbis_list, dtype=np.float64).reshape(
-                num_mbbs, self._num_po, 2
-            )
-            for po_index in range(self._num_po):
-                codes = block_codes[:, po_index]
-                mask &= (codes[:, None] + 1) <= ordinals[:, po_index][None, :]
-                mask &= self._mbi_low[po_index][codes][:, None] <= mbis[:, po_index, 0][None, :]
-                mask &= self._mbi_high[po_index][codes][:, None] >= mbis[:, po_index, 1][None, :]
-        return [np.flatnonzero(mask[:, column]).tolist() for column in range(num_mbbs)]
+        mask = (self._to.view[:, None, :] <= lows[None, :, :]).all(axis=2)
+        range_low = _as_code_block(code_lows, self._num_po, num_mbbs)
+        range_high = _as_code_block(code_highs, self._num_po, num_mbbs)
+        for po_index in range(self._num_po):
+            reach = self._reach[po_index][
+                block_codes[:, po_index][:, None], range_low[:, po_index][None, :]
+            ]
+            mask &= reach > range_high[:, po_index][None, :]
+        return mask.any(axis=0).tolist()
 
 
 class NumpyKernel(DominanceKernel):
@@ -629,32 +611,3 @@ class NumpyKernel(DominanceKernel):
             _as_code_block(target_codes, num_po, len(tgt_to)),
         )
         return out.tolist()
-
-    def covers_many(
-        self, cover_sets: Sequence[IntervalSet], target: IntervalSet
-    ) -> list[bool]:
-        if not cover_sets:
-            return []
-        target_lows = np.array([iv.low for iv in target.intervals], dtype=np.int64)
-        target_highs = np.array([iv.high for iv in target.intervals], dtype=np.int64)
-        if not len(target_lows):
-            return [True] * len(cover_sets)
-        lows: list[int] = []
-        highs: list[int] = []
-        owners: list[int] = []
-        for owner, cover in enumerate(cover_sets):
-            for interval in cover.intervals:
-                lows.append(interval.low)
-                highs.append(interval.high)
-                owners.append(owner)
-        if not lows:
-            return [False] * len(cover_sets)
-        low_arr = np.array(lows, dtype=np.int64)[:, None]
-        high_arr = np.array(highs, dtype=np.int64)[:, None]
-        owner_arr = np.array(owners, dtype=np.int64)
-        contains = (low_arr <= target_lows[None, :]) & (
-            target_highs[None, :] <= high_arr
-        )
-        covered = np.zeros((len(cover_sets), len(target_lows)), dtype=bool)
-        np.logical_or.at(covered, owner_arr, contains)
-        return covered.all(axis=1).tolist()

@@ -3,7 +3,12 @@
 Semantics-defining backend: every other backend must agree with this one on
 all verdicts (the property tests in ``tests/kernels`` assert exactly that).
 Queries early-exit where possible, so the ``counter`` records the number of
-member comparisons actually reached.
+member comparisons actually reached (the MBB t-dominance test is the one
+exception: it charges every member scanned, as the batched backends do).
+
+PO preference is a shift-AND on the tables' closure ints.  Codes are turned
+into Python ints where they enter a store or a query, because shifting a
+wide Python int by a NumPy integer overflows.
 """
 
 from __future__ import annotations
@@ -18,7 +23,10 @@ from repro.kernels.base import (
     charge,
 )
 from repro.kernels.tables import RecordTables, TDominanceTables
-from repro.order.intervals import IntervalSet
+
+
+def _codes(po_codes: Sequence[int]) -> tuple[int, ...]:
+    return tuple(map(int, po_codes))
 
 
 def _dominates(p: Sequence[float], q: Sequence[float]) -> bool:
@@ -47,7 +55,7 @@ def _record_dominates(
     for table, code_p, code_q in zip(tables.attributes, p_codes, q_codes):
         if code_p == code_q:
             continue
-        if table.pref_or_equal[code_p][code_q]:
+        if table.closure[code_p] >> code_q & 1:
             strictly = True
         else:
             return False
@@ -109,7 +117,7 @@ class PureRecordStore(RecordStore):
         self._rows: list[tuple[tuple[float, ...], tuple[int, ...]]] = []
 
     def append(self, to_values: Sequence[float], po_codes: Sequence[int]) -> None:
-        self._rows.append((tuple(to_values), tuple(po_codes)))
+        self._rows.append((tuple(to_values), _codes(po_codes)))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -120,6 +128,7 @@ class PureRecordStore(RecordStore):
     def any_dominates(
         self, to_values: Sequence[float], po_codes: Sequence[int], counter=None
     ) -> bool:
+        po_codes = _codes(po_codes)
         checks = 0
         try:
             for row_to, row_codes in self._rows:
@@ -133,6 +142,7 @@ class PureRecordStore(RecordStore):
     def dominance_masks(
         self, to_values: Sequence[float], po_codes: Sequence[int], counter=None
     ) -> tuple[bool, list[bool]]:
+        po_codes = _codes(po_codes)
         dominated = False
         evicted: list[bool] = []
         checks = 0
@@ -153,10 +163,11 @@ class PureRecordStore(RecordStore):
 class PureTDominanceStore(TDominanceStore):
     def __init__(self, tables: TDominanceTables) -> None:
         self.tables = tables
+        self._closures = tuple(table.closure for table in tables.attributes)
         self._rows: list[tuple[tuple[float, ...], tuple[int, ...]]] = []
 
     def append(self, to_values: Sequence[float], po_codes: Sequence[int]) -> None:
-        self._rows.append((tuple(to_values), tuple(po_codes)))
+        self._rows.append((tuple(to_values), _codes(po_codes)))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -169,7 +180,8 @@ class PureTDominanceStore(TDominanceStore):
         *,
         start: int = 0,
     ) -> bool:
-        tables = self.tables
+        closures = self._closures
+        po_codes = _codes(po_codes)
         checks = 0
         try:
             for row_to, row_codes in self._rows[start:] if start else self._rows:
@@ -177,51 +189,38 @@ class PureTDominanceStore(TDominanceStore):
                 if any(a > b for a, b in zip(row_to, to_values)):
                     continue
                 if all(
-                    table.pref_or_equal[code_p][code_q]
-                    for table, code_p, code_q in zip(
-                        tables.attributes, row_codes, po_codes
-                    )
+                    closure[code_p] >> code_q & 1
+                    for closure, code_p, code_q in zip(closures, row_codes, po_codes)
                 ):
                     return True
             return False
         finally:
             charge(counter, checks)
 
-    def mbb_candidates(
+    def mbb_dominated(
         self,
         to_low: Sequence[float],
-        ordinal_low: Sequence[float],
-        range_mbis: Sequence[tuple[float, float]],
+        code_low: Sequence[int],
+        code_high: Sequence[int],
         counter=None,
         *,
         start: int = 0,
-    ) -> list[int]:
-        tables = self.tables
-        survivors: list[int] = []
-        checks = 0
+    ) -> bool:
+        # Bits lo..hi: a member covers the range iff its closure holds them all.
+        masks = [
+            (2 << int(high)) - (1 << int(low)) for low, high in zip(code_low, code_high)
+        ]
         rows = self._rows[start:] if start else self._rows
-        for index, (row_to, row_codes) in enumerate(rows, start=start):
-            checks += 1
+        charge(counter, len(rows))
+        for row_to, row_codes in rows:
             if any(a > b for a, b in zip(row_to, to_low)):
                 continue
-            # The member's ordinal (== code + 1) must not exceed the MBB's low
-            # ordinal, and its interval set's MBI must contain the range MBI.
-            ok = True
-            for po_index, code in enumerate(row_codes):
-                if code + 1 > ordinal_low[po_index]:
-                    ok = False
-                    break
-                mbi_low, mbi_high = range_mbis[po_index]
-                if (
-                    tables.mbi_low[po_index][code] > mbi_low
-                    or tables.mbi_high[po_index][code] < mbi_high
-                ):
-                    ok = False
-                    break
-            if ok:
-                survivors.append(index)
-        charge(counter, checks)
-        return survivors
+            if all(
+                closure[code] & mask == mask
+                for closure, code, mask in zip(self._closures, row_codes, masks)
+            ):
+                return True
+        return False
 
 
 class PurePythonKernel(DominanceKernel):
@@ -260,6 +259,7 @@ class PurePythonKernel(DominanceKernel):
         mask: list[bool] = []
         checks = 0
         for target_to, target_codes in targets:
+            target_codes = _codes(target_codes)
             dominated = False
             for dom_to, dom_codes in dominators:
                 checks += 1
@@ -269,8 +269,3 @@ class PurePythonKernel(DominanceKernel):
             mask.append(dominated)
         charge(counter, checks)
         return mask
-
-    def covers_many(
-        self, cover_sets: Sequence[IntervalSet], target: IntervalSet
-    ) -> list[bool]:
-        return [cover.covers(target) for cover in cover_sets]

@@ -10,6 +10,8 @@ attaches to a partially ordered domain:
 * ``intervals`` — the exact interval set of every value (spanning tree
   ``[minpost, post]`` labels plus propagation along non-tree edges), which
   makes the t-preference check *exact*: no false hits, no false misses.
+* ``closure`` — the same reachability as one int bitset per topological
+  code, the form the dominance kernels test against.
 
 The same object also exposes the pieces needed by the Chan et al. baselines:
 the single spanning-tree interval of each value (their incomplete mapping to
@@ -66,6 +68,24 @@ class DomainEncoding:
     def cardinality(self) -> int:
         """Size of the domain (equals ``|A_TO|`` and ``|I1| = |I2|``)."""
         return len(self.order)
+
+    @cached_property
+    def closure(self) -> tuple[int, ...]:
+        """Preferred-or-equal closure per topological code, as int bitsets.
+
+        Bit ``j`` of ``closure[i]`` is set iff ``order[i]`` is preferred over
+        or equal to ``order[j]`` (DAG reachability).  A value's successors
+        come later in the topological order, so one reverse sweep ORs their
+        finished rows; only codes ``>= i`` are ever set in row ``i``.
+        """
+        codes = {value: code for code, value in enumerate(self.order)}
+        rows = [0] * len(self.order)
+        for code in range(len(self.order) - 1, -1, -1):
+            bits = 1 << code
+            for successor in self.dag.successors(self.order[code]):
+                bits |= rows[codes[successor]]
+            rows[code] = bits
+        return tuple(rows)
 
     # ------------------------------------------------------------------ #
     # Interval (I1 x I2) side — exactness

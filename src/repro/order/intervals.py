@@ -15,7 +15,7 @@ are equal).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.exceptions import PartialOrderError
@@ -182,20 +182,6 @@ class IntervalSet:
         if start is not None:
             intervals.append(Interval(start, previous))  # type: ignore[arg-type]
         return cls(intervals)
-
-
-def covers_many(
-    cover_sets: Sequence["IntervalSet"], target: "IntervalSet", kernel=None
-) -> list[bool]:
-    """Batched :meth:`IntervalSet.covers`: one verdict per cover set.
-
-    Dispatches through the dominance kernel layer (one interval-containment
-    matrix between all member intervals and the target's intervals when the
-    NumPy backend is active).
-    """
-    from repro.kernels import resolve_kernel  # local import: kernels import this module
-
-    return resolve_kernel(kernel).covers_many(cover_sets, target)
 
 
 def _normalize(intervals: list[Interval]) -> list[Interval]:

@@ -89,10 +89,10 @@ class TestFlatEqualsPointerBBS:
         assert flat.stats.nodes_expanded == pointer.stats.nodes_expanded
         assert flat.stats.points_examined == pointer.stats.points_examined
         # The flat path batches each expansion's child-MBB t-dominance tests
-        # (`TDominanceWindow` / `mbb_block_candidates`); a child pruned by
+        # (`TDominanceWindow` / `mbb_block_dominated`); a child pruned by
         # that cached verdict skips the pop-time re-scan against members
-        # appended since — and the necessary-condition scan has no early
-        # exit, so the saving applies to every kernel, reference included.
+        # appended since — and every kernel charges an MBB test for each
+        # member scanned, so the saving applies to the reference kernel too.
         # Batched verdicts can only ever *save* checks, never add any.
         assert flat.stats.dominance_checks <= pointer.stats.dominance_checks
         assert disk_flat.stats.reads == disk_pointer.stats.reads

@@ -31,11 +31,12 @@ def _diamond() -> PartialOrderDAG:
     )
 
 
-def _assert_matches_table(bitset: DominanceBitset, table: PreferenceTable) -> None:
-    size = len(table.values)
-    for better in range(size):
-        for worse in range(size):
-            assert bitset.test(better, worse) == table.pref_or_equal[better][worse], (
+def _assert_matches_dag(
+    bitset: DominanceBitset, table: PreferenceTable, dag: PartialOrderDAG
+) -> None:
+    for better, x in enumerate(table.values):
+        for worse, y in enumerate(table.values):
+            assert bitset.test(better, worse) == dag.is_preferred_or_equal(x, y), (
                 better,
                 worse,
             )
@@ -52,16 +53,17 @@ class TestDominanceBitset:
         bitset = DominanceBitset.from_table(table)
         assert bitset.cardinality == len(dag.values)
         assert bitset.num_words == 1
-        _assert_matches_table(bitset, table)
+        _assert_matches_dag(bitset, table, dag)
 
     @pytest.mark.parametrize("size", [64, 65, 130])
     def test_multi_word_domains(self, size):
         """Domains past one machine word split across multiple uint64 words."""
-        table = PreferenceTable.from_dag(_chain(size))
+        dag = _chain(size)
+        table = PreferenceTable.from_dag(dag)
         bitset = DominanceBitset.from_table(table)
         assert bitset.num_words == (size + WORD_BITS - 1) // WORD_BITS
         assert all(len(row) == bitset.num_words for row in bitset.rows)
-        _assert_matches_table(bitset, table)
+        _assert_matches_dag(bitset, table, dag)
         # Spot the word boundary explicitly: a chain's head dominates its
         # tail, so bit 64+ of row 0 must be set while the reverse is clear.
         assert bitset.test(0, size - 1)
@@ -93,14 +95,14 @@ class TestDominanceBitsetsCache:
         first = dominance_bitsets(tables)
         assert len(first) == 2
         assert dominance_bitsets(tables) is first
-        for bitset, table in zip(first, tables.attributes):
-            _assert_matches_table(bitset, table)
+        for bitset, table, dag in zip(first, tables.attributes, (_diamond(), _chain(4))):
+            _assert_matches_dag(bitset, table, dag)
 
     def test_tdominance_tables_use_exact_closure(self):
         encoding = encode_domain(_diamond())
         tables = TDominanceTables.from_encodings(1, [encoding])
         (bitset,) = dominance_bitsets(tables)
-        _assert_matches_table(bitset, tables.attributes[0])
+        _assert_matches_dag(bitset, tables.attributes[0], encoding.dag)
 
 
 class TestNumpyWordArrays:

@@ -252,33 +252,29 @@ class TestTDominanceStoreParity:
             assert list(block[0]) == list(block[1]), trial
             _assert_counts(counters, (trial, "block"))
 
-            for to_values, codes in targets[:3]:
-                ordinal_low = tuple(code + 1 for code in codes)
-                range_mbis = []
-                for _ in range(num_po):
-                    if rng.random() < 0.15:
-                        range_mbis.append((float("inf"), float("-inf")))
-                    else:
-                        low = float(rng.randint(0, 6))
-                        range_mbis.append((low, low + rng.randint(0, 6)))
+            # MBB verdicts: random code ranges, charged per member scanned.
+            boxes = []
+            for to_values, codes in targets:
+                highs = tuple(
+                    rng.randrange(code, len(d.values)) for code, d in zip(codes, dags)
+                )
+                boxes.append((to_values, codes, highs))
+            for to_values, lows, highs in boxes:
                 for start in (0, rng.randrange(len(members) + 1)):
                     counters = _paired_counters()
-                    candidates = [
-                        s.mbb_candidates(
-                            to_values, ordinal_low, range_mbis, c, start=start
-                        )
+                    verdicts = [
+                        s.mbb_dominated(to_values, lows, highs, c, start=start)
                         for s, c in zip(stores, counters)
                     ]
-                    assert list(candidates[0]) == list(candidates[1]), (trial, start)
+                    assert verdicts[0] == verdicts[1], (trial, start)
                     _assert_counts(counters, (trial, "mbb", start))
-                counters = _paired_counters()
-                block = [
-                    s.mbb_block_candidates(
-                        [to_values], [ordinal_low], [range_mbis], c
-                    )
-                    for s, c in zip(stores, counters)
-                ]
-                assert [list(x) for x in block[0]] == [list(x) for x in block[1]], trial
+            counters = _paired_counters()
+            block = [
+                s.mbb_block_dominated(*(list(column) for column in zip(*boxes)), c)
+                for s, c in zip(stores, counters)
+            ]
+            assert list(block[0]) == list(block[1]), trial
+            _assert_counts(counters, (trial, "mbb block"))
 
 
 class TestWarmup:

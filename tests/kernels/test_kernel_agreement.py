@@ -26,7 +26,6 @@ from repro.kernels import (
     get_kernel,
 )
 from repro.order.encoding import encode_domain
-from repro.order.intervals import IntervalSet
 from tests.conftest import mixed_dataset_strategy, random_dag_strategy
 
 numpy = pytest.importorskip("numpy")
@@ -43,20 +42,6 @@ def _assert_all_match(values, context=""):
     reference = values[0]
     for kernel, value in zip(KERNELS[1:], values[1:]):
         assert value == reference, (context, kernel.name)
-
-
-def _interval_set_strategy(max_point: int = 30) -> st.SearchStrategy[IntervalSet]:
-    @st.composite
-    def build(draw):
-        count = draw(st.integers(min_value=0, max_value=4))
-        intervals = []
-        for _ in range(count):
-            low = draw(st.integers(min_value=1, max_value=max_point))
-            high = draw(st.integers(min_value=low, max_value=max_point))
-            intervals.append((low, high))
-        return IntervalSet(intervals)
-
-    return build()
 
 
 class TestVectorStoreAgreement:
@@ -369,16 +354,6 @@ class TestStatelessOpsAgreement:
                 [kernel.pareto_mask(block) for kernel in KERNELS], context=dims
             )
 
-    @given(
-        cover_sets=st.lists(_interval_set_strategy(), min_size=0, max_size=8),
-        target=_interval_set_strategy(),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_covers_many_matches(self, cover_sets, target):
-        expected = [cover.covers(target) for cover in cover_sets]
-        for kernel in KERNELS:
-            assert kernel.covers_many(cover_sets, target) == expected, kernel.name
-
 
 class TestAlgorithmLevelAgreement:
     """End-to-end: whole skyline algorithms agree across backends."""
@@ -418,7 +393,7 @@ class TestAlgorithmLevelAgreement:
 
 
 def test_tdominance_tables_match_encoding():
-    """The t-preference matrix equals pairwise t_prefers_or_equal verdicts."""
+    """The closure bits equal pairwise t_prefers_or_equal verdicts."""
     from repro.order.lattice import lattice_domain
 
     encoding = encode_domain(lattice_domain(3, 1.0, seed=1))
@@ -426,6 +401,6 @@ def test_tdominance_tables_match_encoding():
     table = tables.attributes[0]
     for i, better in enumerate(table.values):
         for j, worse in enumerate(table.values):
-            assert table.pref_or_equal[i][j] == encoding.t_prefers_or_equal(
+            assert bool(table.closure[i] >> j & 1) == encoding.t_prefers_or_equal(
                 better, worse
             )

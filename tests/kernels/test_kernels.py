@@ -9,7 +9,6 @@ from repro.exceptions import ExperimentError
 from repro.kernels import (
     PurePythonKernel,
     RecordTables,
-    TDominanceTables,
     available_kernels,
     get_kernel,
     resolve_kernel,
@@ -126,7 +125,7 @@ class TestRecordTables:
         for i, better in enumerate(table.values):
             for j, worse in enumerate(table.values):
                 expected = better == worse or dag.is_preferred(better, worse)
-                assert table.pref_or_equal[i][j] == expected
+                assert bool(table.closure[i] >> j & 1) == expected
 
     def test_encode_po_roundtrip(self):
         dag = paper_example_dag()
@@ -134,16 +133,6 @@ class TestRecordTables:
         for value in dag.values:
             code = tables.encode_po((value,))[0]
             assert tables.attributes[0].values[code] == value
-
-
-class TestTDominanceTables:
-    def test_mbi_bounds_cover_interval_sets(self):
-        encoding = encode_domain(paper_example_dag())
-        tables = TDominanceTables.from_encodings(1, [encoding])
-        for code, interval_set in enumerate(tables.interval_sets[0]):
-            mbi = interval_set.bounding_interval()
-            assert tables.mbi_low[0][code] == mbi.low
-            assert tables.mbi_high[0][code] == mbi.high
 
 
 class TestCounters:
