@@ -53,8 +53,8 @@ def open_dataset(
     environment variable when not set explicitly).  ``config`` carries the
     runtime knobs; keyword overrides (the :meth:`RuntimeConfig.resolve
     <repro.config.RuntimeConfig.resolve>` fields — ``kernel``, ``index``,
-    ``frame``, ``workers``, ``shards``, ``partitioner``, ``merge``,
-    ``prefilter``, ``cache_size``, ``max_entries``, ``store``, ``mmap``,
+    ``workers``, ``shards``, ``partitioner``, ``prefilter``, ``cache_size``,
+    ``max_entries``, ``store``, ``mmap``, ``crc``, ``compact_threshold``,
     ``faults``) win over both.
     """
     config = _resolve_config(config, overrides)

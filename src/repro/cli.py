@@ -137,20 +137,6 @@ def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
         help="dataset sharding strategy",
     )
     parser.add_argument(
-        "--merge-strategy",
-        choices=("sort-merge", "all-pairs"),
-        default=None,
-        help="cross-shard merge strategy (default: REPRO_MERGE env var, else "
-        "sort-merge; all-pairs is the legacy batched sweep kept for A/B runs)",
-    )
-    parser.add_argument(
-        "--frame",
-        choices=("on", "off"),
-        default=None,
-        help="columnar frame data plane (default: REPRO_FRAME env var, else "
-        "on when NumPy is available; off falls back to record-at-a-time)",
-    )
-    parser.add_argument(
         "--store",
         default=None,
         metavar="PATH",
@@ -250,11 +236,9 @@ def _runtime_config(args) -> RuntimeConfig:
     deliberately left unset here.
     """
     return RuntimeConfig.resolve(
-        frame=args.frame,
         workers=args.workers,
         shards=args.shards,
         partitioner=args.partitioner,
-        merge=args.merge_strategy,
         prefilter=not args.no_prefilter,
         cache_size=args.cache_size,
         store=args.store,

@@ -13,16 +13,15 @@ points can then never tie on every attribute, which makes "weakly better
 everywhere and not the same point" equivalent to strict dominance and keeps
 every pruning rule exact.
 
-Construction has two equivalent paths: the record path walks the dataset's
-``Record`` tuples (reference), and the columnar path consumes an
-:class:`~repro.data.columns.EncodedFrame` — grouping duplicates with one
-``np.unique`` over the mapped-coordinate matrix and remapping the frame's
-canonical PO codes into each encoding's topological positions with one
-gather.  Both paths yield identical points in identical (first-occurrence)
-order, so everything downstream — R-tree layout, BBS traversal, dominance
-check counts — is unchanged; a mapping can also be built from a frame alone
-(``dataset=None``), which is how sharded workers operate on shipped column
-blocks.
+Construction consumes an :class:`~repro.data.columns.EncodedFrame` (a
+dataset passed in is encoded once, at this ingest boundary): duplicates are
+grouped with one ``np.unique`` over the mapped-coordinate matrix (a dict over
+row tuples on the tuple-backed frame) and the frame's canonical PO codes are
+remapped into each encoding's topological positions with one gather.  Points
+come out in first-occurrence order, so the R-tree layout, BBS traversal and
+dominance check counts depend only on the row order; a mapping can also be
+built from a frame alone (``dataset=None``), which is how sharded workers
+operate on shipped column blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.data.columns import EncodedFrame, group_rows, resolve_frame_mode
+from repro.data.columns import EncodedFrame, group_rows
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema
 from repro.exceptions import SchemaError
@@ -89,7 +88,6 @@ class TSSMapping:
         schema: Schema | None = None,
         frame: EncodedFrame | None = None,
         rows: Sequence[int] | None = None,
-        use_frame: bool | None = None,
         toposort_strategy: str = "kahn",
         parent_choice: str = "first",
     ) -> None:
@@ -109,7 +107,7 @@ class TSSMapping:
         if len(encodings) != schema.num_partial_order:
             raise SchemaError("one DomainEncoding per PO attribute is required")
         self.encodings: tuple[DomainEncoding, ...] = tuple(encodings)
-        if frame is None and dataset is not None and resolve_frame_mode(use_frame):
+        if frame is None:
             frame = EncodedFrame.from_dataset(dataset)
         self.frame = frame
         # Mapped-coordinate matrix of the distinct points (row g = coords of
@@ -117,37 +115,11 @@ class TSSMapping:
         # bulk-load without re-materializing coordinates; ``None`` until
         # needed elsewhere (see :meth:`mapped_matrix`).
         self._mapped_matrix = None
-        if frame is not None:
-            self.points: list[MappedPoint] = self._build_points_from_frame(frame, rows)
-        else:
-            if rows is not None:
-                raise SchemaError("TSSMapping row subsets require an encoded frame")
-            self.points = self._build_points()
+        self.points: list[MappedPoint] = self._build_points(frame, rows)
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def _build_points(self) -> list[MappedPoint]:
-        schema = self.schema
-        points: list[MappedPoint] = []
-        for values, record_ids in group_distinct_rows(self.dataset):
-            to_values = schema.canonical_to_values(values)
-            po_values = schema.partial_values(values)
-            ordinals = tuple(
-                float(encoding.ordinal(value))
-                for encoding, value in zip(self.encodings, po_values)
-            )
-            points.append(
-                MappedPoint(
-                    index=len(points),
-                    coords=to_values + ordinals,
-                    to_values=to_values,
-                    po_values=po_values,
-                    record_ids=record_ids,
-                )
-            )
-        return points
-
     def _topo_code_maps(self) -> list[dict[Value, int]]:
         """Per PO attribute: value -> position in the topological order."""
         return [
@@ -155,15 +127,15 @@ class TSSMapping:
             for encoding in self.encodings
         ]
 
-    def _build_points_from_frame(
+    def _build_points(
         self, frame: EncodedFrame, rows: Sequence[int] | None = None
     ) -> list[MappedPoint]:
-        """Columnar twin of :meth:`_build_points` over an encoded frame.
+        """The distinct mapped points of an encoded frame.
 
         The frame's canonical codes are gathered into topological positions
         (``ordinal - 1``); duplicate grouping is one ``np.unique`` over the
-        mapped-coordinate matrix, reordered to first occurrence so the point
-        list is identical to the record path's.  ``rows`` restricts the build
+        mapped-coordinate matrix, reordered to first occurrence (a dict over
+        row tuples on the tuple-backed frame).  ``rows`` restricts the build
         to a row subset without materializing a reduced frame — point
         ``record_ids`` are then positions within ``rows``, exactly as a
         ``frame.take(rows)`` build would number them.

@@ -18,12 +18,10 @@ uses — so ground-truth dominance needs no translation.  Other code spaces
 :meth:`EncodedFrame.remap_codes`, an O(domain) permutation build plus one
 vectorized gather, rather than re-encoding every record.
 
-The frame path is selected like the kernel backend: an explicit argument
-wins, then the ``REPRO_FRAME`` environment variable (mirroring
-``REPRO_KERNEL``), then the default — on when NumPy is importable, off
-otherwise.  Without NumPy the frame falls back to tuple-backed columns so a
-forced ``REPRO_FRAME=1`` still works everywhere (the reference
-representation the vectorized one must agree with).
+The frame is the only data plane: a :class:`~repro.data.dataset.Dataset`
+handed to any query path is encoded once, at that ingest boundary, with
+:meth:`EncodedFrame.from_dataset`.  Without NumPy the frame falls back to
+tuple-backed columns, so the same code runs on every install.
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ from __future__ import annotations
 from collections.abc import Hashable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
-from repro.config import FRAME_ENV_VAR  # noqa: F401  (historical home)
-from repro.config import resolve_frame_mode as _resolve_frame_mode
 from repro.data.schema import Schema
 from repro.exceptions import DatasetError
 
@@ -48,15 +44,6 @@ def _numpy_or_none():
     except ImportError:
         return None
     return numpy
-
-
-def resolve_frame_mode(mode: bool | str | None = None) -> bool:
-    """Deprecated shim: delegates to :func:`repro.config.resolve_frame_mode`.
-
-    Kept so existing imports stay green; the resolver (and the
-    ``REPRO_FRAME`` read) now lives in :mod:`repro.config`.
-    """
-    return _resolve_frame_mode(mode)
 
 
 def group_rows(matrix) -> tuple[object, list]:
@@ -337,7 +324,7 @@ class EncodedFrame:
         rows: Sequence[int] | None = None,
     ):
         """The SFS monotone sort key of every row, bitwise identical to the
-        record path's :func:`~repro.skyline.sfs.monotone_sort_key`.
+        per-record :func:`~repro.skyline.sfs.monotone_sort_key`.
 
         ``depth_columns`` holds, per PO attribute, the DAG depth of every
         *canonical-code* value.  Accumulation order matches the scalar key —

@@ -8,52 +8,30 @@ why both the :class:`~repro.engine.batch.BatchQueryEngine` (at construction)
 and the store writer (at pack time, so loaders can skip the pass entirely)
 run the very same code — extracted here so the two can never drift.
 
-Both paths return identical survivor lists: the record walk is the reference
-the columnar one must match (pinned by the engine's property tests), and the
-dominance kernels agree bitwise on ``pareto_mask``.
+The pass runs over the columnar :class:`~repro.data.columns.EncodedFrame`
+only: rows are grouped by PO-code combination and each group's TO block goes
+through one ``pareto_mask`` call, on which the dominance kernels agree
+bitwise.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
-
 from repro.data.columns import EncodedFrame, group_rows
-
-Value = Hashable
 
 
 def prefilter_survivors(schema, dataset, frame, kernel) -> list[int]:
     """Ascending row ids of each PO-combination group's TO-Pareto front.
 
-    ``frame`` (an :class:`~repro.data.columns.EncodedFrame`) selects the
-    columnar path; ``dataset`` the record path.  With no TO attributes (or no
-    rows) every record survives.
+    Runs over ``frame`` (an :class:`~repro.data.columns.EncodedFrame`); a
+    caller holding only a ``dataset`` passes ``frame=None`` and the dataset
+    is encoded once here (the engine and the store writer always pass a
+    frame).  With no TO attributes (or no rows) every record survives.
     """
-    if frame is not None:
-        if not schema.num_total_order or not len(frame):
-            return list(range(len(frame)))
-        return _frame_survivors(frame, kernel)
-    if not schema.num_total_order or not len(dataset):
-        # Explicit record fallback: no frame was handed in.
-        return [record.id for record in dataset.records]  # reprolint: disable=no-record-hot-path -- record-path fallback
-    groups: dict[tuple[Value, ...], list[int]] = {}
-    for record in dataset.records:  # reprolint: disable=no-record-hot-path -- record-path fallback
-        groups.setdefault(schema.partial_values(record.values), []).append(record.id)
-    survivors: list[int] = []
-    for member_ids in groups.values():
-        if len(member_ids) == 1:
-            survivors.append(member_ids[0])
-            continue
-        rows = [
-            schema.canonical_to_values(dataset[record_id].values)
-            for record_id in member_ids
-        ]
-        mask = kernel.pareto_mask(rows)
-        survivors.extend(
-            record_id for record_id, keep in zip(member_ids, mask) if keep
-        )
-    survivors.sort()
-    return survivors
+    if frame is None:
+        frame = EncodedFrame.from_dataset(dataset)
+    if not schema.num_total_order or not len(frame):
+        return list(range(len(frame)))
+    return _frame_survivors(frame, kernel)
 
 
 def _frame_survivors(frame: EncodedFrame, kernel) -> list[int]:

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.data.columns import EncodedFrame, resolve_frame_mode
+from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset, Record
 from repro.exceptions import DatasetError
 from repro.kernels import resolve_kernel
 from repro.kernels.tables import RecordTables
 from repro.skyline.base import RunClock, SkylineResult, SkylineStats
-from repro.skyline.dominance import RecordEncoder, record_store_for
+from repro.skyline.dominance import record_dominance_function
 from repro.skyline.sfs import depth_columns, monotone_sort_key
 
 #: Default size of the elimination-filter window (records).
@@ -44,7 +44,6 @@ def less_skyline(
     key: Callable[[Record], float] | None = None,
     kernel=None,
     frame: EncodedFrame | None = None,
-    use_frame: bool | None = None,
 ) -> SkylineResult:
     """Compute the skyline of ``dataset`` with LESS.
 
@@ -59,43 +58,36 @@ def less_skyline(
     dominates / key:
         Optional overrides for the dominance predicate and the monotone sort
         key (defaults: ground-truth record dominance and the canonical
-        TO-sum + PO-depth score).  Passing ``dominates`` falls back to the
-        record-at-a-time reference path.
+        TO-sum + PO-depth score).  Passing either runs the record-at-a-time
+        reference path.
     kernel:
         Dominance kernel backend (instance, name or ``None`` for the process
         default) used for both the elimination filter and the SFS filter.
-    frame / use_frame:
-        Columnar inputs: an :class:`~repro.data.columns.EncodedFrame` to scan
-        instead of the record tuples, and the frame-path toggle (``None``
-        consults ``REPRO_FRAME``).  ``dataset`` may be ``None`` when a frame
-        is supplied.
+    frame:
+        An :class:`~repro.data.columns.EncodedFrame` to scan; without one the
+        ``dataset`` is encoded once here.  ``dataset`` may be ``None`` when a
+        frame is supplied.
     """
     if dataset is None and frame is None:
         raise DatasetError("less_skyline needs a dataset or an encoded frame")
     schema = dataset.schema if dataset is not None else frame.schema
     if dominates is None and key is None:
-        if frame is None and resolve_frame_mode(use_frame):
+        if frame is None:
             frame = EncodedFrame.from_dataset(dataset)
-        if frame is not None:
-            return _less_skyline_frame(schema, frame, filter_window, kernel)
+        return _less_skyline_frame(schema, frame, filter_window, kernel)
     if dataset is None:
         raise DatasetError(
             "less_skyline needs a dataset when a custom key or dominance "
             "predicate bypasses the columnar path"
         )
     key = key or monotone_sort_key(schema)
-    if dominates is None:
-        return _less_skyline_kernel(dataset, filter_window, key, kernel)
+    dominates = dominates or record_dominance_function(schema)
     return _less_skyline_predicate(dataset, filter_window, dominates, key)
 
 
 def _less_skyline_frame(schema, frame, filter_window, kernel) -> SkylineResult:
-    """Columnar LESS: both passes stream pre-encoded frame rows.
-
-    Same verdict sequence as the record kernel path (identical ids and
-    dominance-check counts) — the elimination filter and the SFS filter just
-    read rows out of the frame instead of encoding records one at a time.
-    """
+    """Columnar LESS: both passes stream pre-encoded frame rows through the
+    dominance kernel's skyline stores."""
     stats = SkylineStats()
     clock = RunClock(stats)
     tables = RecordTables.from_schema(schema)
@@ -135,57 +127,6 @@ def _less_skyline_frame(schema, frame, filter_window, kernel) -> SkylineResult:
         if not skyline_store.any_dominates(to[row], codes[row], counter=stats):
             skyline_store.append(to[row], codes[row])
             skyline_ids.append(row)
-            clock.record_result()
-
-    clock.finish()
-    return SkylineResult(skyline_ids=skyline_ids, stats=stats, progress=clock.progress)
-
-
-def _less_skyline_kernel(dataset, filter_window, key, kernel) -> SkylineResult:
-    """Kernel path: both passes scan blocks through the dominance kernel."""
-    stats = SkylineStats()
-    clock = RunClock(stats)
-    encoder = RecordEncoder(dataset.schema)
-
-    # ------------------------------------------------------------------ #
-    # Pass 1: elimination filter while "reading the input for sorting".
-    # The elite window is a kernel store plus a parallel score list; the
-    # worst-scoring member is replaced when a better-scoring record arrives.
-    # ------------------------------------------------------------------ #
-    _, elite_store = record_store_for(dataset.schema, kernel, encoder=encoder)
-    elite_scores: list[float] = []
-    survivors: list[tuple[Record, tuple[tuple[float, ...], tuple[int, ...]]]] = []
-    for record in dataset.records:
-        stats.points_examined += 1
-        score = key(record)
-        encoded = encoder.encode(record)
-        if elite_store.any_dominates(*encoded, counter=stats):
-            continue
-        survivors.append((record, encoded))
-        if filter_window <= 0:
-            continue
-        if len(elite_scores) < filter_window:
-            elite_store.append(*encoded)
-            elite_scores.append(score)
-        else:
-            worst = max(range(len(elite_scores)), key=elite_scores.__getitem__)
-            if score < elite_scores[worst]:
-                keep = [i != worst for i in range(len(elite_scores))]
-                elite_store.compress(keep)
-                del elite_scores[worst]
-                elite_store.append(*encoded)
-                elite_scores.append(score)
-
-    # ------------------------------------------------------------------ #
-    # Pass 2: sort the survivors and filter like SFS.
-    # ------------------------------------------------------------------ #
-    survivors.sort(key=lambda item: key(item[0]))
-    _, skyline_store = record_store_for(dataset.schema, kernel, encoder=encoder)
-    skyline_ids: list[int] = []
-    for record, encoded in survivors:
-        if not skyline_store.any_dominates(*encoded, counter=stats):
-            skyline_store.append(*encoded)
-            skyline_ids.append(record.id)
             clock.record_result()
 
     clock.finish()

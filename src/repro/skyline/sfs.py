@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable
 
-from repro.data.columns import EncodedFrame, ordered_rows, resolve_frame_mode
+from repro.data.columns import EncodedFrame, ordered_rows
 from repro.data.dataset import Dataset, Record
 from repro.data.schema import Schema
 from repro.exceptions import DatasetError
@@ -26,7 +26,7 @@ from repro.kernels.tables import RecordTables
 from repro.order.dag import PartialOrderDAG
 from repro.order.toposort import topological_sort
 from repro.skyline.base import RunClock, SkylineResult, SkylineStats
-from repro.skyline.dominance import record_store_for
+from repro.skyline.dominance import record_dominance_function
 
 Value = Hashable
 
@@ -80,9 +80,7 @@ def depth_columns(schema: Schema, frame: EncodedFrame) -> list[list[int]]:
 def _sfs_frame(schema: Schema, frame: EncodedFrame, kernel, rows=None) -> SkylineResult:
     """Columnar SFS: presort via ``argsort`` on the monotone key vector.
 
-    The candidate scan is the same sequence of store queries as the record
-    path — identical verdicts, discovery order and dominance-check counts —
-    but the per-record encode step is gone: rows stream out of the frame.
+    Rows stream out of the frame straight into the kernel skyline store.
     ``rows`` restricts the scan to a row subset without materializing a
     reduced frame; result ids are then positions within ``rows``, exactly as
     a ``frame.take(rows)`` run would number them.
@@ -114,60 +112,46 @@ def sfs_skyline(
     kernel=None,
     frame: EncodedFrame | None = None,
     rows=None,
-    use_frame: bool | None = None,
 ) -> SkylineResult:
     """Compute the skyline of ``dataset`` with Sort-Filter-Skyline.
 
-    The skyline-list scan runs through the block-dominance kernel (see
-    :mod:`repro.kernels`); passing an explicit ``dominates`` predicate
-    falls back to the record-at-a-time reference path.  With the frame path
-    enabled (``frame`` given, or ``use_frame``/``REPRO_FRAME``, on by
-    default when NumPy is available) the presort and scan run columnar over
-    an :class:`~repro.data.columns.EncodedFrame`; ``dataset`` may then be
-    ``None``.
+    The presort and the skyline-list scan run columnar over an
+    :class:`~repro.data.columns.EncodedFrame` through the block-dominance
+    kernel (see :mod:`repro.kernels`); a ``dataset`` without a ``frame`` is
+    encoded once here, and ``dataset`` may be ``None`` when a frame is
+    given.  Passing an explicit ``dominates`` predicate or sort ``key``
+    runs the record-at-a-time reference path instead.
     """
     if dataset is None and frame is None:
         raise DatasetError("sfs_skyline needs a dataset or an encoded frame")
     schema = dataset.schema if dataset is not None else frame.schema
     if dominates is None and key is None:
-        if frame is None and resolve_frame_mode(use_frame):
+        if frame is None:
             frame = EncodedFrame.from_dataset(dataset)
-        if frame is not None:
-            return _sfs_frame(schema, frame, kernel, rows)
+        return _sfs_frame(schema, frame, kernel, rows)
     if dataset is None or rows is not None:
         raise DatasetError(
             "sfs_skyline needs a dataset (and no row subset) when a custom "
             "key or dominance predicate bypasses the columnar path"
         )
     key = key or monotone_sort_key(schema)
+    dominates = dominates or record_dominance_function(schema)
 
     stats = SkylineStats()
     clock = RunClock(stats)
-
-    ordered = sorted(dataset.records, key=key)
+    skyline: list[Record] = []
     skyline_ids: list[int] = []
-    if dominates is None:
-        encoder, store = record_store_for(schema, kernel)
-        for candidate in ordered:
-            stats.points_examined += 1
-            to_values, po_codes = encoder.encode(candidate)
-            if not store.any_dominates(to_values, po_codes, counter=stats):
-                store.append(to_values, po_codes)
-                skyline_ids.append(candidate.id)
-                clock.record_result()
-    else:
-        skyline: list[Record] = []
-        for candidate in ordered:
-            stats.points_examined += 1
-            dominated = False
-            for resident in skyline:
-                stats.dominance_checks += 1
-                if dominates(resident, candidate):
-                    dominated = True
-                    break
-            if not dominated:
-                skyline.append(candidate)
-                skyline_ids.append(candidate.id)
-                clock.record_result()
+    for candidate in sorted(dataset.records, key=key):
+        stats.points_examined += 1
+        dominated = False
+        for resident in skyline:
+            stats.dominance_checks += 1
+            if dominates(resident, candidate):
+                dominated = True
+                break
+        if not dominated:
+            skyline.append(candidate)
+            skyline_ids.append(candidate.id)
+            clock.record_result()
     clock.finish()
     return SkylineResult(skyline_ids=skyline_ids, stats=stats, progress=clock.progress)

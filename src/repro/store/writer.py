@@ -11,7 +11,7 @@ objects as zero-copy ``np.memmap`` views — or, without NumPy, by reading the
 very same bytes into tuple-backed columns.
 
 The writer works under both backends: the frame and the mapped-point arrays
-are backend-agnostic (the columnar and record paths are pinned to agree
+are backend-agnostic (the NumPy and tuple-backed frames are pinned to agree
 bitwise), while the flat-tree sections are written only when NumPy is
 available — a store packed without NumPy simply omits them and loaders
 rebuild the tree from the mapped points.

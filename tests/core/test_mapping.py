@@ -56,6 +56,25 @@ class TestMapping:
         mapping = TSSMapping(data)
         assert mapping.record_ids_for([0, 1]) == [0, 1, 2, 3]
 
+    def test_dataset_is_encoded_once_at_the_boundary(self, small_workload):
+        from repro.data.columns import EncodedFrame
+
+        _, dataset = small_workload
+        from_dataset = TSSMapping(dataset)
+        from_frame = TSSMapping(None, frame=EncodedFrame.from_dataset(dataset))
+        assert from_dataset.frame is not None
+        assert from_dataset.points == from_frame.points
+
+    def test_row_subset_numbers_points_like_take(self, small_workload):
+        from repro.data.columns import EncodedFrame
+
+        _, dataset = small_workload
+        frame = EncodedFrame.from_dataset(dataset)
+        rows = list(range(0, len(dataset), 3))
+        viewed = TSSMapping(None, frame=frame, rows=rows)
+        taken = TSSMapping(None, frame=frame.take(rows))
+        assert viewed.points == taken.points
+
     def test_encoding_count_must_match(self, flight_dataset, airline_dag):
         with pytest.raises(SchemaError):
             TSSMapping(flight_dataset, [encode_domain(airline_dag)] * 2)

@@ -2,46 +2,9 @@
 
 import pytest
 
-from repro.data.columns import (
-    FRAME_ENV_VAR,
-    ColumnCodec,
-    EncodedFrame,
-    resolve_frame_mode,
-)
-from repro.exceptions import DatasetError, ExperimentError
+from repro.data.columns import ColumnCodec, EncodedFrame
+from repro.exceptions import DatasetError
 from repro.kernels.tables import RecordTables
-
-
-class TestResolveFrameMode:
-    def test_explicit_boolean_wins(self, monkeypatch):
-        monkeypatch.setenv(FRAME_ENV_VAR, "0")
-        assert resolve_frame_mode(True) is True
-        monkeypatch.setenv(FRAME_ENV_VAR, "1")
-        assert resolve_frame_mode(False) is False
-
-    @pytest.mark.parametrize("word,expected", [("1", True), ("on", True), ("YES", True), ("0", False), ("off", False), ("False", False)])
-    def test_env_words(self, monkeypatch, word, expected):
-        monkeypatch.setenv(FRAME_ENV_VAR, word)
-        assert resolve_frame_mode() is expected
-
-    def test_unset_defaults_to_numpy_availability(self, monkeypatch):
-        monkeypatch.delenv(FRAME_ENV_VAR, raising=False)
-        try:
-            import numpy  # noqa: F401
-
-            expected = True
-        except ImportError:
-            expected = False
-        assert resolve_frame_mode() is expected
-
-    def test_invalid_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(FRAME_ENV_VAR, "sideways")
-        with pytest.raises(ExperimentError, match=FRAME_ENV_VAR):
-            resolve_frame_mode()
-
-    def test_invalid_explicit_value_is_clean(self):
-        with pytest.raises(ExperimentError, match="frame mode"):
-            resolve_frame_mode("sideways")
 
 
 class TestEncodedFrame:

@@ -33,11 +33,10 @@ def _dominant_row(dataset):
     return tuple(row)
 
 
-@pytest.mark.parametrize("use_frame", [True, False])
 class TestMutationSemantics:
-    def test_insert_allocates_fresh_ids_and_changes_results(self, workload, use_frame):
+    def test_insert_allocates_fresh_ids_and_changes_results(self, workload):
         _, dataset = workload
-        with BatchQueryEngine(dataset, use_frame=use_frame) as engine:
+        with BatchQueryEngine(dataset) as engine:
             before = engine.run_query(BatchQuery("base")).skyline_ids
             ids = engine.insert([_dominant_row(dataset)])
             assert ids == [len(dataset)]
@@ -45,9 +44,9 @@ class TestMutationSemantics:
             assert ids[0] in after and after != before
             assert engine.mutations_applied == 1
 
-    def test_delete_removes_and_reports_only_live_ids(self, workload, use_frame):
+    def test_delete_removes_and_reports_only_live_ids(self, workload):
         _, dataset = workload
-        with BatchQueryEngine(dataset, use_frame=use_frame) as engine:
+        with BatchQueryEngine(dataset) as engine:
             base = engine.run_query(BatchQuery("base")).skyline_ids
             victim = base[0]
             assert engine.delete([victim, victim]) == [victim]
@@ -55,9 +54,9 @@ class TestMutationSemantics:
             with pytest.raises(QueryError, match="unknown record id"):
                 engine.delete([10**6])
 
-    def test_result_cache_invalidated_on_mutation(self, workload, use_frame):
+    def test_result_cache_invalidated_on_mutation(self, workload):
         schema, dataset = workload
-        with BatchQueryEngine(dataset, use_frame=use_frame) as engine:
+        with BatchQueryEngine(dataset) as engine:
             query = BatchQuery("q", dag_overrides=random_query_preferences(schema, 3))
             engine.run_query(query)
             assert engine.run_query(query).from_cache
@@ -107,14 +106,6 @@ class TestCompaction:
                 engine.delete([record_id])
             assert engine.compactions == 0
             assert engine.summary()["delta"]["pending_mutations"] == 10
-
-    def test_record_path_engine_compacts_too(self, workload):
-        _, dataset = workload
-        with BatchQueryEngine(dataset, use_frame=False) as engine:
-            engine.insert([_dominant_row(dataset)])
-            before = engine.run_query(BatchQuery("base")).skyline_ids
-            assert engine.compact()["compacted"] is True
-            assert engine.run_query(BatchQuery("base")).skyline_ids == before
 
 
 class TestStoreBackedMutations:

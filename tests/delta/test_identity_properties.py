@@ -3,9 +3,9 @@
 The delta plane's contract: after ANY interleaving of inserts and deletes,
 a query through the mutated engine returns exactly — same ids, same order —
 what a fresh engine built from scratch over the live rows returns.  Pinned
-here across random mutation sequences, 1-4 shards, both kernels, the frame
-and record paths, and (in the store matrix) packed stores with mmap on/off,
-including sequences that cross the auto-compaction threshold.
+here across random mutation sequences, 1-4 shards, both kernels, and (in
+the store matrix) packed stores with mmap on/off, including sequences that
+cross the auto-compaction threshold.
 """
 
 from __future__ import annotations
@@ -62,16 +62,14 @@ class TestDeltaEqualsRebuild:
     @given(
         dataset=mixed_dataset_strategy(max_rows=20),
         kernel=st.sampled_from(KERNELS),
-        use_frame=st.booleans(),
         num_shards=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=10**6),
     )
     @settings(max_examples=25, deadline=None)
-    def test_in_memory(self, dataset, kernel, use_frame, num_shards, seed):
+    def test_in_memory(self, dataset, kernel, num_shards, seed):
         rng = random.Random(seed)
         options = dict(
             kernel=kernel,
-            use_frame=use_frame,
             workers=0,
             num_shards=num_shards if num_shards > 1 else None,
             compact_threshold=0,

@@ -112,6 +112,19 @@ class TestPrefilter:
             )
             assert set(reference.skyline_ids) <= candidates
 
+    @pytest.mark.parametrize("kernel_name", available_kernels())
+    def test_dataset_is_encoded_at_the_boundary(self, workload, kernel_name):
+        from repro.data.columns import EncodedFrame
+        from repro.engine.prefilter import prefilter_survivors
+        from repro.kernels import get_kernel
+
+        schema, dataset = workload
+        kernel = get_kernel(kernel_name)
+        frame = EncodedFrame.from_dataset(dataset)
+        survivors = prefilter_survivors(schema, None, frame, kernel)
+        assert prefilter_survivors(schema, dataset, None, kernel) == survivors
+        assert survivors == BatchQueryEngine(dataset, kernel=kernel)._candidate_rows
+
 
 class TestValidation:
     def test_unknown_attribute_override_rejected(self, workload):
@@ -201,25 +214,25 @@ class TestShardedEngine:
         with BatchQueryEngine(dataset, workers=0, num_shards=2) as engine:
             assert engine.executor is not None and engine.executor.workers == 0
 
-    @pytest.mark.parametrize("merge_strategy", ["sort-merge", "all-pairs"])
-    def test_merge_strategy_plumbed_through(self, workload, merge_strategy):
+    def test_sort_merge_reported_in_summary(self, workload):
         schema, dataset = workload
         plain = BatchQueryEngine(dataset)
-        engine = BatchQueryEngine(
-            dataset, workers=0, num_shards=3, merge_strategy=merge_strategy
-        )
-        assert engine.executor.merge_strategy == merge_strategy
-        assert engine.summary()["sharding"]["merge_strategy"] == merge_strategy
+        engine = BatchQueryEngine(dataset, workers=0, num_shards=3)
+        assert engine.summary()["sharding"]["merge_strategy"] == "sort-merge"
         query = queries_from_seeds(schema, [21])[0]
-        assert engine.run_query(query).skyline_set == plain.run_query(query).skyline_set
+        result = engine.run_query(query)
+        assert result.sharded.merge_strategy == "sort-merge"
+        assert result.skyline_set == plain.run_query(query).skyline_set
 
-    def test_merge_env_var_validated_even_without_executor(self, workload, monkeypatch):
-        from repro.exceptions import ExperimentError
-
-        _, dataset = workload
+    def test_retired_frame_and_merge_env_vars_are_ignored(self, workload, monkeypatch):
+        schema, dataset = workload
+        query = queries_from_seeds(schema, [21])[0]
+        expected = BatchQueryEngine(dataset, num_shards=3).run_query(query).skyline_ids
         monkeypatch.setenv("REPRO_MERGE", "bogus")
-        with pytest.raises(ExperimentError, match="REPRO_MERGE"):
-            BatchQueryEngine(dataset)
+        monkeypatch.setenv("REPRO_FRAME", "off")
+        with BatchQueryEngine(dataset, num_shards=3) as engine:
+            assert engine.summary()["frame"] is True
+            assert engine.run_query(query).skyline_ids == expected
 
 
 class TestConcurrentFacade:
@@ -297,18 +310,9 @@ class TestConcurrentFacade:
 class TestColumnarEngine:
     """The frame data plane: identical results, phases accounted."""
 
-    def test_frame_and_record_engines_agree(self, workload):
-        schema, dataset = workload
-        queries = [BatchQuery("base")] + queries_from_seeds(schema, range(4))
-        record = BatchQueryEngine(dataset, use_frame=False).run(queries)
-        columnar = BatchQueryEngine(dataset, use_frame=True).run(queries)
-        for record_result, frame_result in zip(record, columnar):
-            assert frame_result.skyline_set == record_result.skyline_set
-
     def test_frame_flag_reported_in_summary(self, workload):
         _, dataset = workload
-        assert BatchQueryEngine(dataset, use_frame=True).summary()["frame"] is True
-        assert BatchQueryEngine(dataset, use_frame=False).summary()["frame"] is False
+        assert BatchQueryEngine(dataset).summary()["frame"] is True
 
     def test_phase_seconds_track_evaluated_queries(self, workload):
         schema, dataset = workload
@@ -358,15 +362,3 @@ class TestColumnarEngine:
             phases = engine.summary()["phase_seconds"]
         assert phases["query"] > 0.0
         assert phases["merge"] >= 0.0
-
-    def test_frame_engine_sharded_matches_record_engine(self, workload):
-        schema, dataset = workload
-        queries = [BatchQuery("base")] + queries_from_seeds(schema, range(3))
-        with (
-            BatchQueryEngine(dataset, num_shards=3, use_frame=True) as columnar,
-            BatchQueryEngine(dataset, num_shards=3, use_frame=False) as record,
-        ):
-            for frame_result, record_result in zip(
-                columnar.run(queries), record.run(queries)
-            ):
-                assert frame_result.skyline_set == record_result.skyline_set

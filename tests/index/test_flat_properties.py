@@ -1,8 +1,8 @@
 """Property suite: the flat index plane is indistinguishable from the pointer
 tree (hypothesis).
 
-For random datasets across 2-4 dimensions, every available dominance kernel
-and the frame path on/off, a BBS-style traversal of the flat tree must
+For random datasets across 2-4 dimensions and every available dominance
+kernel, a BBS-style traversal of the flat tree must
 report the *identical* skyline id-set in the *identical* discovery order,
 expand the same nodes (equal node reads), and spend equal dominance checks
 under the early-exiting reference kernel — the columnar loop's cached block
@@ -74,17 +74,14 @@ class TestFlatEqualsPointerBBS:
     @given(
         dataset=mixed_dataset_strategy(max_rows=40),
         kernel=st.sampled_from(KERNELS),
-        use_frame=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_stss(self, dataset, kernel, use_frame):
+    def test_stss(self, dataset, kernel):
         disk_pointer, disk_flat = DiskSimulator(), DiskSimulator()
         pointer = stss_skyline(
-            dataset, kernel=kernel, index="pointer", use_frame=use_frame, disk=disk_pointer
+            dataset, kernel=kernel, index="pointer", disk=disk_pointer
         )
-        flat = stss_skyline(
-            dataset, kernel=kernel, index="flat", use_frame=use_frame, disk=disk_flat
-        )
+        flat = stss_skyline(dataset, kernel=kernel, index="flat", disk=disk_flat)
         assert flat.skyline_ids == pointer.skyline_ids
         assert flat.stats.nodes_expanded == pointer.stats.nodes_expanded
         assert flat.stats.points_examined == pointer.stats.points_examined

@@ -59,6 +59,34 @@ class TestLESS:
         assert less_skyline(to_dataset).skyline_ids == sfs_skyline(to_dataset).skyline_ids
 
 
+class TestReferencePredicatePath:
+    """A caller-supplied ``key`` or ``dominates`` runs record-at-a-time."""
+
+    @pytest.mark.parametrize("algorithm", [sfs_skyline, less_skyline])
+    def test_custom_key_alone_matches_brute_force(self, small_anticorrelated_workload, algorithm):
+        from repro.skyline.sfs import monotone_sort_key
+
+        schema, dataset = small_anticorrelated_workload
+        truth = frozenset(brute_force_skyline(dataset).skyline_ids)
+        result = algorithm(dataset, key=monotone_sort_key(schema))
+        assert frozenset(result.skyline_ids) == truth
+        # The reference loop charges one check per predicate call.
+        assert result.stats.dominance_checks > 0
+
+    @pytest.mark.parametrize("algorithm", [sfs_skyline, less_skyline])
+    def test_custom_predicate_needs_a_dataset(self, flight_dataset, algorithm):
+        from repro.data.columns import EncodedFrame
+        from repro.exceptions import DatasetError
+        from repro.skyline.dominance import record_dominance_function
+
+        frame = EncodedFrame.from_dataset(flight_dataset)
+        dominates = record_dominance_function(flight_dataset.schema)
+        with pytest.raises(DatasetError, match="needs a dataset"):
+            algorithm(None, frame=frame, dominates=dominates)
+        result = algorithm(flight_dataset, dominates=dominates)
+        assert frozenset(result.skyline_ids) == {0, 4, 5, 8, 9}
+
+
 class TestSaLSa:
     def test_matches_brute_force(self, to_dataset, to_truth):
         assert frozenset(salsa_skyline(to_dataset).skyline_ids) == to_truth

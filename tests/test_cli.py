@@ -99,15 +99,14 @@ class TestBatchQueryCommand:
             abs((warmup + encode + build + index_build + query + merge) - total) <= 0.4
         )
 
-    def test_frame_flag_parses_and_runs(self, capsys):
-        args = build_batch_query_parser().parse_args(["--frame", "off"])
-        assert args.frame == "off"
-        for mode in ("on", "off"):
-            code = main(
-                ["batch-query", "--cardinality", "200", "--queries", "1", "--frame", mode]
-            )
-            assert code == 0
-        assert "cached topologies" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "flag", [["--frame", "off"], ["--merge-strategy", "all-pairs"]]
+    )
+    def test_retired_frame_and_merge_flags_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_batch_query_parser().parse_args(flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_workers_value_is_reported(self, capsys):
         code = main(["batch-query", "--cardinality", "100", "--workers", "lots"])
@@ -130,7 +129,7 @@ class TestBatchQueryCommand:
         assert err.startswith("error:") and "REPRO_WORKERS" in err
         assert "Traceback" not in err
 
-    def test_merge_strategy_flag_parsed_and_run(self, capsys):
+    def test_sharded_run_parsed_and_run(self, capsys):
         code = main(
             [
                 "batch-query",
@@ -138,18 +137,17 @@ class TestBatchQueryCommand:
                 "--queries", "1",
                 "--workers", "0",
                 "--shards", "2",
-                "--merge-strategy", "all-pairs",
             ]
         )
         assert code == 0
         assert "cached topologies" in capsys.readouterr().out
 
-    def test_bad_merge_env_var_named_in_error(self, capsys, monkeypatch):
+    def test_retired_frame_and_merge_env_vars_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_MERGE", "zipper")
-        code = main(["batch-query", "--cardinality", "100"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "REPRO_MERGE" in err
+        monkeypatch.setenv("REPRO_FRAME", "off")
+        code = main(["batch-query", "--cardinality", "100", "--queries", "1"])
+        assert code == 0
+        assert "cached topologies" in capsys.readouterr().out
 
     def test_index_flag_parses_and_runs(self, capsys):
         from repro.index.registry import set_default_index

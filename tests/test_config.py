@@ -1,19 +1,16 @@
-"""RuntimeConfig resolution: precedence, env errors and deprecation shims."""
+"""RuntimeConfig resolution: precedence, env errors and the env gateway."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.config import (
-    FRAME_ENV_VAR,
     KERNEL_ENV_VAR,
-    MERGE_ENV_VAR,
     MMAP_ENV_VAR,
     STORE_ENV_VAR,
     WORKERS_ENV_VAR,
     RuntimeConfig,
     env_text,
-    resolve_merge_strategy,
     resolve_mmap_mode,
     resolve_workers,
 )
@@ -24,9 +21,7 @@ from repro.exceptions import ExperimentError
 def clean_env(monkeypatch):
     for variable in (
         KERNEL_ENV_VAR,
-        FRAME_ENV_VAR,
         WORKERS_ENV_VAR,
-        MERGE_ENV_VAR,
         STORE_ENV_VAR,
         MMAP_ENV_VAR,
     ):
@@ -38,32 +33,25 @@ class TestPrecedence:
         config = RuntimeConfig.resolve()
         assert config.kernel is None and config.index is None
         assert config.workers == 0
-        assert config.merge == "sort-merge"
         assert config.store is None
         assert config.prefilter is True
 
     def test_env_fills_unset_fields(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "purepython")
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        monkeypatch.setenv(MERGE_ENV_VAR, "all-pairs")
         monkeypatch.setenv(STORE_ENV_VAR, "/tmp/env.rpro")
         monkeypatch.setenv(MMAP_ENV_VAR, "off")
         config = RuntimeConfig.resolve()
         assert config.kernel == "purepython"
         assert config.workers == 3
-        assert config.merge == "all-pairs"
         assert config.store == "/tmp/env.rpro"
         assert config.mmap is False
 
     def test_explicit_arguments_beat_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        monkeypatch.setenv(MERGE_ENV_VAR, "all-pairs")
         monkeypatch.setenv(STORE_ENV_VAR, "/tmp/env.rpro")
-        config = RuntimeConfig.resolve(
-            workers=1, merge="sort-merge", store="/tmp/flag.rpro"
-        )
+        config = RuntimeConfig.resolve(workers=1, store="/tmp/flag.rpro")
         assert config.workers == 1
-        assert config.merge == "sort-merge"
         assert config.store == "/tmp/flag.rpro"
 
     def test_with_overrides_replaces_fields(self):
@@ -74,12 +62,11 @@ class TestPrecedence:
 
     def test_engine_options_round_trip(self):
         config = RuntimeConfig.resolve(
-            workers=2, shards=4, merge="all-pairs", prefilter=False, cache_size=7
+            workers=2, shards=4, prefilter=False, cache_size=7
         )
         options = config.engine_options()
         assert options["workers"] == 2
         assert options["num_shards"] == 4
-        assert options["merge_strategy"] == "all-pairs"
         assert options["prefilter"] is False
         assert options["cache_size"] == 7
         assert "mmap" in options
@@ -89,6 +76,42 @@ class TestPrecedence:
         assert env_text(WORKERS_ENV_VAR) is None
         assert RuntimeConfig.resolve().workers == 0
 
+    def test_retired_frame_and_merge_env_vars_are_ignored(self, monkeypatch):
+        # One data plane and one merge: stale settings change nothing.
+        monkeypatch.setenv("REPRO_FRAME", "off")
+        monkeypatch.setenv("REPRO_MERGE", "zipper")
+        config = RuntimeConfig.resolve()
+        assert config == RuntimeConfig.resolve(workers=0)
+        assert not {"frame", "merge"} & set(vars(config))
+
+
+class TestResolveSwitch:
+    """The shared on/off resolver, through its ``REPRO_MMAP`` knob."""
+
+    def test_explicit_boolean_wins(self, monkeypatch):
+        monkeypatch.setenv(MMAP_ENV_VAR, "0")
+        assert resolve_mmap_mode(True) is True
+        monkeypatch.setenv(MMAP_ENV_VAR, "1")
+        assert resolve_mmap_mode(False) is False
+
+    @pytest.mark.parametrize("word,expected", [("1", True), ("on", True), ("YES", True), ("0", False), ("off", False), ("False", False)])
+    def test_env_words(self, monkeypatch, word, expected):
+        monkeypatch.setenv(MMAP_ENV_VAR, word)
+        assert resolve_mmap_mode() is expected
+
+    def test_unset_defaults_to_numpy_availability(self):
+        try:
+            import numpy  # noqa: F401
+
+            expected = True
+        except ImportError:
+            expected = False
+        assert resolve_mmap_mode() is expected
+
+    def test_invalid_explicit_value_is_clean(self):
+        with pytest.raises(ExperimentError, match="store mmap mode"):
+            resolve_mmap_mode("sideways")
+
 
 class TestErrors:
     @pytest.mark.parametrize("bad", ["lots", "-2", "1.5"])
@@ -96,11 +119,6 @@ class TestErrors:
         monkeypatch.setenv(WORKERS_ENV_VAR, bad)
         with pytest.raises(ExperimentError, match=WORKERS_ENV_VAR):
             resolve_workers()
-
-    def test_bad_merge_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(MERGE_ENV_VAR, "zipper")
-        with pytest.raises(ExperimentError, match=MERGE_ENV_VAR):
-            resolve_merge_strategy()
 
     def test_bad_mmap_env_names_the_variable(self, monkeypatch):
         monkeypatch.setenv(MMAP_ENV_VAR, "sideways")
@@ -113,26 +131,7 @@ class TestErrors:
         assert WORKERS_ENV_VAR not in str(excinfo.value)
 
 
-class TestDeprecationShims:
-    """The historical import paths keep working and agree with repro.config."""
-
-    def test_executor_shims(self, monkeypatch):
-        from repro.parallel import executor
-
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        assert executor.resolve_workers() == resolve_workers() == 4
-        assert executor.resolve_merge_strategy("all-pairs") == "all-pairs"
-        assert executor.WORKERS_ENV_VAR == WORKERS_ENV_VAR
-        assert executor.MERGE_ENV_VAR == MERGE_ENV_VAR
-
-    def test_columns_shim(self, monkeypatch):
-        from repro.config import resolve_frame_mode
-        from repro.data import columns
-
-        monkeypatch.setenv(FRAME_ENV_VAR, "off")
-        assert columns.resolve_frame_mode() is resolve_frame_mode() is False
-        assert columns.FRAME_ENV_VAR == FRAME_ENV_VAR
-
+class TestEnvGateway:
     def test_env_reads_live_only_in_config(self):
         """The library funnels every REPRO_* read through repro.config.
 
