@@ -77,8 +77,23 @@ def group_distinct_rows(dataset: Dataset) -> list[tuple[tuple[Value, ...], tuple
     return [(values, tuple(ids)) for values, ids in groups.items()]
 
 
+def _as_list(values) -> list:
+    """Plain Python scalars of a NumPy row/slice or a tuple."""
+    return values.tolist() if hasattr(values, "tolist") else list(values)
+
+
 class TSSMapping:
-    """A dataset transformed into the TSS mapped space, plus its data R-tree."""
+    """A dataset transformed into the TSS mapped space, plus its data R-tree.
+
+    The distinct points live in one CSR triple — the sections a packed store
+    persists: the ``(points, dimensions)`` mapped-coordinate matrix (see
+    :meth:`mapped_matrix`), the flat ``point_rows`` array of every point's
+    record ids, and ``point_offsets``, where point ``g``'s ids are
+    ``point_rows[point_offsets[g]:point_offsets[g + 1]]``.  The triple holds
+    NumPy arrays on a NumPy-backed frame (or a store's memmap views) and
+    tuples/lists otherwise; :class:`MappedPoint` objects are built from it on
+    demand by :meth:`point`.
+    """
 
     def __init__(
         self,
@@ -110,12 +125,7 @@ class TSSMapping:
         if frame is None:
             frame = EncodedFrame.from_dataset(dataset)
         self.frame = frame
-        # Mapped-coordinate matrix of the distinct points (row g = coords of
-        # point g), retained by the columnar build so the flat R-tree can
-        # bulk-load without re-materializing coordinates; ``None`` until
-        # needed elsewhere (see :meth:`mapped_matrix`).
-        self._mapped_matrix = None
-        self.points: list[MappedPoint] = self._build_points(frame, rows)
+        self._coords, self.point_rows, self.point_offsets = self._build_points(frame, rows)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -127,41 +137,32 @@ class TSSMapping:
             for encoding in self.encodings
         ]
 
-    def _build_points(
-        self, frame: EncodedFrame, rows: Sequence[int] | None = None
-    ) -> list[MappedPoint]:
-        """The distinct mapped points of an encoded frame.
+    def _build_points(self, frame: EncodedFrame, rows: Sequence[int] | None = None):
+        """The CSR triple of an encoded frame's distinct mapped points.
 
         The frame's canonical codes are gathered into topological positions
         (``ordinal - 1``); duplicate grouping is one ``np.unique`` over the
         mapped-coordinate matrix, reordered to first occurrence (a dict over
         row tuples on the tuple-backed frame).  ``rows`` restricts the build
         to a row subset without materializing a reduced frame — point
-        ``record_ids`` are then positions within ``rows``, exactly as a
+        record ids are then positions within ``rows``, exactly as a
         ``frame.take(rows)`` build would number them.
         """
         topo_codes = frame.remap_codes(self._topo_code_maps(), rows)
         to_block = frame.gather_to(rows)
         length = len(frame) if rows is None else len(rows)
-        orders = [encoding.order for encoding in self.encodings]
         if not frame.uses_numpy:
-            points: list[MappedPoint] = []
-            groups: dict[tuple, list[int]] = {}
+            groups: dict[tuple[float, ...], list[int]] = {}
             for row_index in range(length):
-                key = (tuple(to_block[row_index]), tuple(topo_codes[row_index]))
-                groups.setdefault(key, []).append(row_index)
-            for (to_values, codes), row_ids in groups.items():
-                ordinals = tuple(float(code + 1) for code in codes)
-                points.append(
-                    MappedPoint(
-                        index=len(points),
-                        coords=tuple(to_values) + ordinals,
-                        to_values=tuple(to_values),
-                        po_values=tuple(order[code] for order, code in zip(orders, codes)),
-                        record_ids=tuple(row_ids),
-                    )
+                key = tuple(to_block[row_index]) + tuple(
+                    float(code + 1) for code in topo_codes[row_index]
                 )
-            return points
+                groups.setdefault(key, []).append(row_index)
+            offsets = [0]
+            for row_ids in groups.values():
+                offsets.append(offsets[-1] + len(row_ids))
+            point_rows = [row for row_ids in groups.values() for row in row_ids]
+            return tuple(groups), point_rows, offsets
         import numpy as np
 
         num_to = self.num_total_order
@@ -169,35 +170,18 @@ class TSSMapping:
         coords[:, :num_to] = to_block
         coords[:, num_to:] = topo_codes
         coords[:, num_to:] += 1.0
-        unique_coords, groups = group_rows(coords)
-        self._mapped_matrix = unique_coords
-        points = []
-        for index, (unique_row, row_ids) in enumerate(zip(unique_coords, groups)):
-            row = unique_row.tolist()
-            points.append(
-                MappedPoint(
-                    index=index,
-                    coords=tuple(row),
-                    to_values=tuple(row[:num_to]),
-                    po_values=tuple(
-                        order[int(ordinal) - 1]
-                        for order, ordinal in zip(orders, row[num_to:])
-                    ),
-                    record_ids=tuple(row_ids.tolist()),
-                )
-            )
-        return points
+        return group_rows(coords)
 
     @classmethod
-    def from_stored(cls, schema, encodings, coords, groups) -> "TSSMapping":
-        """Rebuild a mapping from persisted coordinates and record groups.
+    def from_stored(cls, schema, encodings, coords, point_rows, point_offsets) -> "TSSMapping":
+        """Rebuild a mapping from a persisted CSR triple.
 
-        ``coords`` is the ``(points, dimensions)`` mapped matrix (NumPy array
-        — typically a store's memmap view — or tuple rows) and ``groups`` the
-        per-point record-id tuples, both exactly as a fresh build over the
-        same frame would produce them; ``encodings`` must be the deterministic
-        base encodings the store was packed under.  No grouping or ordinal
-        gathering is repeated.
+        ``coords`` is the ``(points, dimensions)`` mapped matrix, and
+        ``point_rows``/``point_offsets`` the flat record ids and their
+        per-point offsets (NumPy arrays — typically a store's memmap views —
+        or tuples), exactly as a fresh build over the same frame would
+        produce them; ``encodings`` must be the deterministic base encodings
+        the store was packed under.  Nothing is grouped, gathered or copied.
         """
         mapping = object.__new__(cls)
         mapping.dataset = None
@@ -206,26 +190,9 @@ class TSSMapping:
         if len(mapping.encodings) != schema.num_partial_order:
             raise SchemaError("one DomainEncoding per PO attribute is required")
         mapping.frame = None
-        uses_numpy = not isinstance(coords, (tuple, list))
-        mapping._mapped_matrix = coords if uses_numpy else None
-        orders = [encoding.order for encoding in mapping.encodings]
-        num_to = schema.num_total_order
-        points: list[MappedPoint] = []
-        for index, group in enumerate(groups):
-            row = coords[index].tolist() if uses_numpy else list(coords[index])
-            points.append(
-                MappedPoint(
-                    index=index,
-                    coords=tuple(row),
-                    to_values=tuple(row[:num_to]),
-                    po_values=tuple(
-                        order[int(ordinal) - 1]
-                        for order, ordinal in zip(orders, row[num_to:])
-                    ),
-                    record_ids=tuple(group),
-                )
-            )
-        mapping.points = points
+        mapping._coords = coords
+        mapping.point_rows = point_rows
+        mapping.point_offsets = point_offsets
         return mapping
 
     # ------------------------------------------------------------------ #
@@ -245,27 +212,36 @@ class TSSMapping:
         return self.num_total_order + self.num_partial_order
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.point_offsets) - 1
 
     @cached_property
     def to_offset(self) -> int:
         """Index of the first PO (ordinal) coordinate inside ``coords``."""
         return self.num_total_order
 
-    @cached_property
-    def point_codes(self) -> list[tuple[int, ...]]:
-        """Per point: the PO codes (topological position, 0-based).
-
-        Derived once from the mapped ordinals so skyline stores can feed
-        kernel calls without re-deriving codes per dominance check.
-        """
-        offset = self.to_offset
-        return [
-            tuple(int(c) - 1 for c in point.coords[offset:]) for point in self.points
-        ]
+    def _record_ids(self, index: int) -> list[int]:
+        offsets = self.point_offsets
+        return _as_list(self.point_rows[offsets[index] : offsets[index + 1]])
 
     def point(self, index: int) -> MappedPoint:
-        return self.points[index]
+        """Point ``index``, built from the CSR triple."""
+        row = _as_list(self._coords[index])
+        num_to = self.num_total_order
+        return MappedPoint(
+            index=index,
+            coords=tuple(row),
+            to_values=tuple(row[:num_to]),
+            po_values=tuple(
+                encoding.order[int(ordinal) - 1]
+                for encoding, ordinal in zip(self.encodings, row[num_to:])
+            ),
+            record_ids=tuple(self._record_ids(index)),
+        )
+
+    @cached_property
+    def points(self) -> list[MappedPoint]:
+        """Every point, in index order (built once, on first access)."""
+        return [self.point(index) for index in range(len(self))]
 
     # ------------------------------------------------------------------ #
     # Index construction
@@ -273,17 +249,17 @@ class TSSMapping:
     def mapped_matrix(self):
         """The mapped coordinates as one ``(points, dimensions)`` matrix.
 
-        Served from the columnar build's retained array when the mapping was
-        constructed from a NumPy-backed frame (row g is already point g's
-        coordinates — zero conversion), materialized once otherwise.
+        Row ``g`` is point ``g``'s coordinates.  Served as held when the
+        mapping was built from a NumPy-backed frame or a store (zero
+        conversion), converted once from the tuple rows otherwise.
         """
-        import numpy as np
+        if isinstance(self._coords, tuple):
+            import numpy as np
 
-        if self._mapped_matrix is None:
-            self._mapped_matrix = np.array(
-                [point.coords for point in self.points], dtype=np.float64
-            ).reshape(len(self.points), self.dimensions)
-        return self._mapped_matrix
+            self._coords = np.array(self._coords, dtype=np.float64).reshape(
+                len(self), self.dimensions
+            )
+        return self._coords
 
     def build_rtree(
         self,
@@ -306,7 +282,7 @@ class TSSMapping:
             )
         return RTree.bulk_load(
             self.dimensions,
-            ((point.coords, point.index) for point in self.points),
+            ((tuple(_as_list(row)), index) for index, row in enumerate(self._coords)),
             max_entries=max_entries,
             disk=disk,
         )
@@ -323,5 +299,5 @@ class TSSMapping:
         """Expand mapped-point indices back into dataset record ids."""
         ids: list[int] = []
         for index in point_indices:
-            ids.extend(self.points[index].record_ids)
+            ids.extend(self._record_ids(index))
         return ids

@@ -120,13 +120,13 @@ def stss_skyline(
     offset = mapping.to_offset
 
     def dominated_point(point, payload) -> bool:
-        candidate = mapping.point(int(payload))
         if virtual_index is not None:
+            candidate = mapping.point(int(payload))
             stats.dominance_checks += 1
             return virtual_index.dominates_candidate_point(
                 candidate.to_values, candidate.po_values
             )
-        return checker.store_dominates_point(skyline_store, candidate, counter=stats)
+        return skyline_store.dominates_coords(point, counter=stats)
 
     def dominated_rect(low, high) -> bool:
         if virtual_index is not None:
@@ -141,10 +141,9 @@ def stss_skyline(
         return checker.store_dominates_mbb(skyline_store, low, high, counter=stats)
 
     def on_result(point, payload) -> None:
-        mapped = mapping.point(int(payload))
-        skyline_store.append(mapped)
+        skyline_store.append_coords(point)
         if virtual_index is not None:
-            virtual_index.insert_mapped_point(mapped)
+            virtual_index.insert_mapped_point(mapping.point(int(payload)))
 
     # Flat trees batch the t-dominance tests over a popped node's children
     # (one kernel call per expansion, suffix re-check at each child's pop);

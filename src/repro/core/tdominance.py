@@ -205,9 +205,7 @@ class TDominanceChecker:
         start: int = 0,
     ) -> bool:
         """Batched form of :meth:`point_dominated_by_any` over a store."""
-        return store.kernel_store.any_weakly_dominates(
-            q.to_values, store.codes_of(q), counter, start=start
-        )
+        return store.dominates_coords(q.coords, counter, start=start)
 
     def store_dominates_mbb(
         self,
@@ -239,23 +237,35 @@ class TDominanceChecker:
 class TDominanceSkylineStore:
     """The skyline found so far, mirrored into a kernel store."""
 
-    __slots__ = ("checker", "tables", "kernel_store")
+    __slots__ = ("checker", "tables", "kernel_store", "_offset")
 
     def __init__(self, checker: TDominanceChecker) -> None:
         self.checker = checker
         self.tables = tdominance_tables(checker.mapping)
         self.kernel_store = checker.kernel.tdominance_store(self.tables)
-
-    def codes_of(self, point: MappedPoint) -> tuple[int, ...]:
-        """PO codes (topological position, 0-based) of one mapped point.
-
-        Served from the mapping's precomputed code table, so candidates
-        stream through the kernel with no per-check conversion.
-        """
-        return self.checker.mapping.point_codes[point.index]
+        self._offset = checker.mapping.to_offset
 
     def append(self, point: MappedPoint) -> None:
-        self.kernel_store.append(point.to_values, self.codes_of(point))
+        self.append_coords(point.coords)
+
+    def append_coords(self, coords) -> None:
+        """Append a mapped point straight from its coordinate row.
+
+        ``coords`` is a tuple or a flat tree's matrix row: canonical TO
+        values, then one ordinal per PO attribute — the ordinal minus one is
+        the PO code (see :class:`~repro.kernels.tables.TDominanceTables`).
+        """
+        row = [float(value) for value in coords]
+        offset = self._offset
+        self.kernel_store.append(row[:offset], [int(value) - 1 for value in row[offset:]])
+
+    def dominates_coords(self, coords, counter=None, *, start: int = 0) -> bool:
+        """Is the mapped point with these coordinates weakly t-dominated by a
+        member at index >= ``start``?"""
+        offset = self._offset
+        return self.kernel_store.any_weakly_dominates(
+            coords[:offset], [int(value) - 1 for value in coords[offset:]], counter, start=start
+        )
 
     def __len__(self) -> int:
         return len(self.kernel_store)
@@ -315,10 +325,7 @@ class TDominanceWindow:
         )
 
     def point_suffix(self, point, start: int, counter) -> bool:
-        codes = tuple(int(v) - 1 for v in point[self._offset :])
-        return self.store.kernel_store.any_weakly_dominates(
-            point[: self._offset], codes, counter, start=start
-        )
+        return self.store.dominates_coords(point, counter, start=start)
 
     def rect_suffix(self, low, high, start: int, counter) -> bool:
         return self.checker.store_dominates_mbb(

@@ -46,22 +46,23 @@ def _numpy_or_none():
     return numpy
 
 
-def group_rows(matrix) -> tuple[object, list]:
+def group_rows(matrix) -> tuple[object, object, object]:
     """Group equal rows of a 2-D array, preserving first-occurrence order.
 
-    Returns ``(unique_rows, groups)`` where ``unique_rows[g]`` is the value of
-    the ``g``-th distinct row *in order of first appearance* and ``groups[g]``
-    the ascending indices of its occurrences — the exact contract of dict-based
-    ``setdefault`` grouping over row tuples, shared by the engine's prefilter
-    and the columnar :class:`~repro.core.mapping.TSSMapping` build.  A matrix
-    with zero columns groups every row together.
+    Returns the CSR triple ``(unique_rows, rows, offsets)``: ``unique_rows[g]``
+    is the value of the ``g``-th distinct row *in order of first appearance*
+    and ``rows[offsets[g]:offsets[g + 1]]`` the ascending indices of its
+    occurrences — the exact contract of dict-based ``setdefault`` grouping
+    over row tuples, shared by the engine's prefilter, the dynamic group
+    index and the columnar :class:`~repro.core.mapping.TSSMapping` build.  A
+    matrix with zero columns groups every row together.
     """
     np = _numpy_or_none()
     if np is None:  # pragma: no cover - callers hold ndarray-backed frames
         raise DatasetError("group_rows requires NumPy")
     matrix = np.asarray(matrix)
     if not len(matrix):
-        return matrix[:0], []
+        return matrix[:0], np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
     unique, first_seen, inverse = np.unique(
         matrix, axis=0, return_index=True, return_inverse=True
     )
@@ -71,8 +72,9 @@ def group_rows(matrix) -> tuple[object, list]:
     position_of[by_first] = np.arange(len(by_first))
     group_of_row = position_of[inverse]
     rows_by_group = np.argsort(group_of_row, kind="stable")
-    boundaries = np.cumsum(np.bincount(group_of_row))[:-1]
-    return unique[by_first], np.split(rows_by_group, boundaries)
+    offsets = np.zeros(len(by_first) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(group_of_row), out=offsets[1:])
+    return unique[by_first], rows_by_group, offsets
 
 
 def ordered_rows(keys, tiebreak=None, *, uses_numpy: bool) -> list[int]:

@@ -284,14 +284,14 @@ def _columnar_groups(
                 )
             )
             ids.extend(block_ids)
-        unique, grouped_rows = group_rows(np.concatenate(matrices, axis=0))
+        unique, rows, offsets = group_rows(np.concatenate(matrices, axis=0))
+        rows, bounds = rows.tolist(), offsets.tolist()
         result = []
-        for g, member_rows in enumerate(grouped_rows):
-            to_values = tuple(float(v) for v in unique[g, :num_to])
-            po_values = tuple(
-                domains[k][int(unique[g, num_to + k])] for k in range(num_po)
-            )
-            result.append((to_values, po_values, [ids[i] for i in member_rows]))
+        for g, row in enumerate(unique.tolist()):
+            to_values = tuple(row[:num_to])
+            po_values = tuple(domains[k][int(row[num_to + k])] for k in range(num_po))
+            members = rows[bounds[g] : bounds[g + 1]]
+            result.append((to_values, po_values, [ids[i] for i in members]))
         return result
 
     groups: dict[tuple[tuple[float, ...], tuple[Value, ...]], list[int]] = {}

@@ -43,16 +43,19 @@ def validate_override_domains(
                 f"{sorted(missing, key=repr)}"
             )
 
-#: Semantic signature of one preference DAG (values + closure edges).
-DagKey = tuple[tuple[Value, ...], tuple[tuple[Value, Value], ...]]
+#: Semantic signature of one preference DAG: its values, and per value the
+#: set of values it is preferred over (the transitive closure).
+DagKey = tuple[tuple[Value, ...], frozenset[tuple[Value, frozenset[Value]]]]
 
 
 def dag_signature(dag: PartialOrderDAG) -> DagKey:
-    """Semantic identity of a preference DAG: values + transitive closure."""
-    return (
-        dag.values,
-        tuple(sorted(dag.transitive_closure_edges(), key=repr)),
-    )
+    """Semantic identity of a preference DAG: values + transitive closure.
+
+    The closure is the DAG's cached reachability as a set of ``(value,
+    values it is preferred over)`` pairs, so the key depends neither on how
+    the edges were given nor on how the values ``repr``.
+    """
+    return dag.values, frozenset(dag._reachability().items())
 
 
 class EncodingCache:

@@ -40,9 +40,11 @@ def _frame_survivors(frame: EncodedFrame, kernel) -> list[int]:
     group over frame slices (no per-record encoding)."""
     survivors: list[int] = []
     if frame.uses_numpy:
-        _, code_groups = group_rows(frame.codes)
-        for member_rows in code_groups:
-            if len(member_rows) == 1:
+        _, rows, offsets = group_rows(frame.codes)
+        bounds = offsets.tolist()
+        for low, high in zip(bounds, bounds[1:]):
+            member_rows = rows[low:high]
+            if high - low == 1:
                 survivors.append(int(member_rows[0]))
                 continue
             mask = kernel.pareto_mask(frame.to[member_rows])

@@ -2,11 +2,14 @@
 
 A :class:`~repro.kernels.tables.PreferenceTable` holds the relation "value
 ``i`` is preferred over or equal to value ``j``" as one int bitset per code
-(``closure[i]``, bit ``j``).  For kernel hot loops the same rows split into
-``uint64`` words: a t-dominance test over ``d`` PO attributes is then ``d``
-shift-AND-compare word operations on a structure that stays cache-resident
-even for large domains, and the packed rows feed the JIT kernels as one
-contiguous ``(attribute, code, word)`` array.
+(``closure[i]``, bit ``j``).  For the compiled hot loops the same rows split
+into ``uint64`` words: a t-dominance test over ``d`` PO attributes is then
+``d`` shift-AND-compare word operations on a structure that stays
+cache-resident even for large domains, and the packed rows feed the JIT
+kernel as one contiguous ``(attribute, code, word)`` array
+(:func:`packed_word_cube`), its only consumer.  The NumPy stores use
+:func:`closure_matrix` (record dominance) and the reach-end tables
+(t-dominance) instead.
 
 Everything here is cut straight from the tables' closure ints — no
 per-pair flag loop — and cached on the tables' ``scratch`` dict, so every
@@ -88,10 +91,10 @@ def closure_matrix(closure: Sequence[int], width: int) -> "np.ndarray":
 def attribute_word_arrays(
     tables: RecordTables | TDominanceTables,
 ) -> "list[np.ndarray]":
-    """Per-attribute ``(cardinality, num_words)`` uint64 arrays (NumPy stores).
+    """Per-attribute ``(cardinality, num_words)`` uint64 arrays.
 
-    Cached on ``scratch`` like the boolean preference matrices; requires
-    NumPy (only the vectorized backends call this).
+    The rows :func:`packed_word_cube` stacks for the JIT kernel; cached on
+    ``scratch`` like the boolean preference matrices, and requires NumPy.
     """
     cached = tables.scratch.get("numpy_bitset_rows")
     if cached is None:

@@ -2,10 +2,11 @@
 
 Stores keep their members in amortized-doubling arrays, so appends are O(1)
 and every query is a handful of vectorized comparisons over the whole block
-instead of a Python-level loop.  Preference closures are converted to
-boolean or ``uint64`` word ``ndarray`` once per :class:`~repro.kernels.tables`
+instead of a Python-level loop.  Record stores test PO preference on
+boolean closure matrices, converted once per :class:`~repro.kernels.tables`
 object and cached in its ``scratch`` dict, so all stores sharing the tables
-share the arrays.
+share the arrays; t-dominance stores gather from the tables' cached
+reach-end tables alone.
 
 This module imports :mod:`numpy` at import time; the registry in
 :mod:`repro.kernels` only loads it when NumPy is installed.
@@ -24,7 +25,7 @@ from repro.kernels.base import (
     VectorStore,
     charge,
 )
-from repro.kernels.bitsets import attribute_word_arrays, closure_matrix
+from repro.kernels.bitsets import closure_matrix
 from repro.kernels.tables import RecordTables, TDominanceTables
 
 _INITIAL_CAPACITY = 16
@@ -332,18 +333,26 @@ class NumpyRecordStore(RecordStore):
 
 
 class NumpyTDominanceStore(TDominanceStore):
-    """T-dominance over bitset-packed closures and reach-end tables.
+    """T-dominance decided from the reach-end tables alone.
 
-    Point tests gather from the uint64 bitset rows of
-    :mod:`repro.kernels.bitsets` — one word gather plus shift-AND per
-    attribute.  MBB tests gather one entry per attribute from
-    :attr:`TDominanceTables.reach_end
-    <repro.kernels.tables.TDominanceTables.reach_end>`.
+    Every test asks whether a member *covers* a target box: at least as good
+    as its TO corner on every column and, per PO attribute, preferred-or-
+    equal to every code in ``[low, high]`` — ``reach_end[c][low] > high``
+    (see :attr:`TDominanceTables.reach_end
+    <repro.kernels.tables.TDominanceTables.reach_end>`).  A leaf point is the
+    range ``[k, k]``, an MBB its ordinal range minus one.
+
+    Block tests first drop the members that cannot cover any target: worse
+    than every target on some TO column, or with a code above every
+    target's low code on some PO attribute (closure rows only reach
+    forward).  Per PO attribute the targets' reach-end columns then give a
+    small ``(values, targets)`` cover matrix whose rows are picked by member
+    code, and TO columns are compared one at a time as 2-D broadcasts — no
+    small-axis reduce over a 3-D cube.
     """
 
     def __init__(self, tables: TDominanceTables) -> None:
         self.tables = tables
-        self._bits = attribute_word_arrays(tables)
         self._reach = tables.reach_end
         self._to = _GrowableMatrix(tables.num_total_order, dtype=np.float64)
         self._codes = _GrowableMatrix(max(1, tables.num_partial_order), dtype=np.int64)
@@ -361,29 +370,50 @@ class NumpyTDominanceStore(TDominanceStore):
     def __len__(self) -> int:
         return len(self._to)
 
+    def _any_covers(self, to_low, code_low, code_high, counter, start: int) -> bool:
+        """Does a member at index >= ``start`` cover one target box?"""
+        member_to = self._to.view[start:]
+        charge(counter, len(member_to))
+        if not len(member_to):
+            return False
+        member_codes = self._codes.view[start:]
+        mask = np.ones(len(member_to), dtype=bool)
+        for column, value in enumerate(to_low):
+            mask &= member_to[:, column] <= value
+        for po_index, table in enumerate(self._reach):
+            low = int(code_low[po_index])
+            mask &= table[member_codes[:, po_index], low] > int(code_high[po_index])
+        return bool(mask.any())
+
+    def _block_covered(self, to_lows, code_lows, code_highs, counter) -> list[bool]:
+        """Per target box: covered by any member (the pruned block test)."""
+        charge(counter, len(self) * len(to_lows))
+        if not len(self) or not len(to_lows):
+            return [False] * len(to_lows)
+        member_to = self._to.view
+        member_codes = self._codes.view
+        keep = np.ones(len(member_to), dtype=bool)
+        for column in range(to_lows.shape[1]):
+            keep &= member_to[:, column] <= to_lows[:, column].max()
+        for po_index in range(self._num_po):
+            keep &= member_codes[:, po_index] <= code_lows[:, po_index].max()
+        member_to = member_to[keep]
+        member_codes = member_codes[keep]
+        out = np.zeros(len(to_lows), dtype=bool)
+        for low, high in _target_chunks(len(member_to), 1, len(to_lows)):
+            covered = np.ones((len(member_to), high - low), dtype=bool)
+            for po_index, table in enumerate(self._reach):
+                covers = table[:, code_lows[low:high, po_index]] > code_highs[low:high, po_index]
+                covered &= covers[member_codes[:, po_index]]
+            for column in range(to_lows.shape[1]):
+                covered &= member_to[:, column, None] <= to_lows[low:high, column]
+            out[low:high] = covered.any(axis=0)
+        return out.tolist()
+
     def block_weakly_dominated(self, to_rows, code_rows, counter=None) -> list[bool]:
         tgt_to = _as_to_block(to_rows, self.tables.num_total_order)
-        charge(counter, len(self) * len(tgt_to))
-        if not len(self) or not len(tgt_to):
-            return [False] * len(tgt_to)
-        block_to = self._to.view
-        block_codes = self._codes.view
         tgt_codes = _as_code_block(code_rows, self._num_po, len(tgt_to))
-        out = np.zeros(len(tgt_to), dtype=bool)
-        dims = self.tables.num_total_order
-        for low, high in _target_chunks(len(block_to), dims, len(tgt_to)):
-            weak = (block_to[:, None, :] <= tgt_to[None, low:high, :]).all(axis=2)
-            for po_index in range(self._num_po):
-                words = self._bits[po_index]
-                target_codes = tgt_codes[low:high, po_index]
-                gathered = words[
-                    block_codes[:, po_index][:, None],
-                    (target_codes >> 6)[None, :],
-                ]
-                bits = (target_codes & 63).astype(np.uint64)[None, :]
-                weak &= ((gathered >> bits) & np.uint64(1)).astype(bool)
-            out[low:high] = weak.any(axis=0)
-        return out.tolist()
+        return self._block_covered(tgt_to, tgt_codes, tgt_codes, counter)
 
     def any_weakly_dominates(
         self,
@@ -393,19 +423,7 @@ class NumpyTDominanceStore(TDominanceStore):
         *,
         start: int = 0,
     ) -> bool:
-        block_to = self._to.view[start:] if start else self._to.view
-        charge(counter, len(block_to))
-        if not len(block_to):
-            return False
-        block_codes = self._codes.view[start:] if start else self._codes.view
-        mask = (block_to <= np.asarray(to_values, dtype=np.float64)).all(axis=1)
-        for po_index in range(self._num_po):
-            if not mask.any():
-                return False
-            code = int(po_codes[po_index])
-            rows = self._bits[po_index][block_codes[:, po_index], code >> 6]
-            mask &= ((rows >> np.uint64(code & 63)) & np.uint64(1)).astype(bool)
-        return bool(mask.any())
+        return self._any_covers(to_values, po_codes, po_codes, counter, start)
 
     def mbb_dominated(
         self,
@@ -416,18 +434,7 @@ class NumpyTDominanceStore(TDominanceStore):
         *,
         start: int = 0,
     ) -> bool:
-        block_to = self._to.view[start:] if start else self._to.view
-        charge(counter, len(block_to))
-        if not len(block_to):
-            return False
-        block_codes = self._codes.view[start:] if start else self._codes.view
-        mask = (block_to <= np.asarray(to_low, dtype=np.float64)).all(axis=1)
-        for po_index in range(self._num_po):
-            if not mask.any():
-                return False
-            reach = self._reach[po_index][block_codes[:, po_index], int(code_low[po_index])]
-            mask &= reach > int(code_high[po_index])
-        return bool(mask.any())
+        return self._any_covers(to_low, code_low, code_high, counter, start)
 
     def mbb_block_dominated(
         self,
@@ -437,22 +444,12 @@ class NumpyTDominanceStore(TDominanceStore):
         counter=None,
     ) -> list[bool]:
         lows = _as_to_block(to_lows, self.tables.num_total_order)
-        num_mbbs = len(lows)
-        charge(counter, len(self) * num_mbbs)
-        if not len(self) or not num_mbbs:
-            return [False] * num_mbbs
-        block_codes = self._codes.view
-        # (members, mbbs) verdict matrix; fanout is node-capacity bounded,
-        # so the broadcast stays small even against a large skyline store.
-        mask = (self._to.view[:, None, :] <= lows[None, :, :]).all(axis=2)
-        range_low = _as_code_block(code_lows, self._num_po, num_mbbs)
-        range_high = _as_code_block(code_highs, self._num_po, num_mbbs)
-        for po_index in range(self._num_po):
-            reach = self._reach[po_index][
-                block_codes[:, po_index][:, None], range_low[:, po_index][None, :]
-            ]
-            mask &= reach > range_high[:, po_index][None, :]
-        return mask.any(axis=0).tolist()
+        return self._block_covered(
+            lows,
+            _as_code_block(code_lows, self._num_po, len(lows)),
+            _as_code_block(code_highs, self._num_po, len(lows)),
+            counter,
+        )
 
 
 class NumpyKernel(DominanceKernel):

@@ -454,23 +454,14 @@ class DatasetStore:
                 encode_domain(attribute.dag)
                 for attribute in self.schema.partial_order_attributes
             ]
-        if self._np is not None:
-            coords = self._array("mapped_coords")
-            offsets = self._array("point_offsets")
-            rows = self._array("point_rows")
-            groups = [
-                tuple(int(r) for r in rows[int(offsets[g]) : int(offsets[g + 1])])
-                for g in range(len(offsets) - 1)
-            ]
-        else:
-            coords = self._unpack("mapped_coords")
-            offsets = self._unpack("point_offsets")
-            rows = self._unpack("point_rows")
-            groups = [
-                tuple(rows[offsets[g] : offsets[g + 1]])
-                for g in range(len(offsets) - 1)
-            ]
-        return TSSMapping.from_stored(self.schema, encodings, coords, groups)
+        load = self._array if self._np is not None else self._unpack
+        return TSSMapping.from_stored(
+            self.schema,
+            encodings,
+            load("mapped_coords"),
+            load("point_rows"),
+            load("point_offsets"),
+        )
 
     def base_tree(self, *, disk=None):
         """The packed flat R-tree over the base mapping's points."""

@@ -162,23 +162,19 @@ def pack_frame(
             for attribute in schema.partial_order_attributes
         ]
         mapping = TSSMapping(None, encodings, schema=schema, frame=reduced)
-        offsets = [0]
-        rows: list[int] = []
-        for point in mapping.points:
-            rows.extend(point.record_ids)
-            offsets.append(len(rows))
+        offsets, rows = mapping.point_offsets, mapping.point_rows
         coords = (
             mapping.mapped_matrix()
             if reduced.uses_numpy
             else tuple(point.coords for point in mapping.points)
         )
         dimensions = mapping.dimensions
-        num_points = len(mapping.points)
+        num_points = len(mapping)
         sections += [
             (
                 "mapped_coords",
                 "<f8",
-                (len(mapping.points), dimensions),
+                (num_points, dimensions),
                 _matrix_bytes(coords, "<f8"),
             ),
             ("point_offsets", "<i8", (len(offsets),), _vector_bytes(offsets, "<i8")),

@@ -1,12 +1,17 @@
 """Unit tests for the TSS mapping (mapped space + duplicate grouping)."""
 
+import json
+
 import pytest
 
-from repro.core.mapping import TSSMapping, group_distinct_rows
+from repro.core.mapping import MappedPoint, TSSMapping, group_distinct_rows
+from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema, TotalOrderAttribute
+from repro.data.workloads import WorkloadSpec
 from repro.exceptions import SchemaError
 from repro.order.encoding import encode_domain
+from tests.integration.test_columnar_properties import BACKENDS, frame_backend
 
 
 class TestGrouping:
@@ -57,8 +62,6 @@ class TestMapping:
         assert mapping.record_ids_for([0, 1]) == [0, 1, 2, 3]
 
     def test_dataset_is_encoded_once_at_the_boundary(self, small_workload):
-        from repro.data.columns import EncodedFrame
-
         _, dataset = small_workload
         from_dataset = TSSMapping(dataset)
         from_frame = TSSMapping(None, frame=EncodedFrame.from_dataset(dataset))
@@ -66,8 +69,6 @@ class TestMapping:
         assert from_dataset.points == from_frame.points
 
     def test_row_subset_numbers_points_like_take(self, small_workload):
-        from repro.data.columns import EncodedFrame
-
         _, dataset = small_workload
         frame = EncodedFrame.from_dataset(dataset)
         rows = list(range(0, len(dataset), 3))
@@ -104,3 +105,167 @@ class TestMapping:
                     pa, pb = by_values[a.id], by_values[b.id]
                     assert all(x <= y for x, y in zip(pa.coords, pb.coords))
                     assert sum(pa.coords) < sum(pb.coords)
+
+
+def _eager_reference(dataset, encodings, rows=None) -> list[MappedPoint]:
+    """Mapped points built record by record, one object per distinct row.
+
+    Record ids are positions within ``rows`` (all rows when ``None``), as a
+    ``frame.take(rows)`` build numbers them.
+    """
+    schema = dataset.schema
+    positions = range(len(dataset)) if rows is None else rows
+    groups: dict[tuple, list[int]] = {}
+    for number, position in enumerate(positions):
+        values = dataset.records[position].values
+        key = (schema.canonical_to_values(values), schema.partial_values(values))
+        groups.setdefault(key, []).append(number)
+    points = []
+    for index, ((to_values, po_values), ids) in enumerate(groups.items()):
+        to_values = tuple(float(v) for v in to_values)
+        ordinals = tuple(
+            float(encoding.ordinal(value)) for encoding, value in zip(encodings, po_values)
+        )
+        points.append(
+            MappedPoint(
+                index=index,
+                coords=to_values + ordinals,
+                to_values=to_values,
+                po_values=po_values,
+                record_ids=tuple(ids),
+            )
+        )
+    return points
+
+
+@pytest.fixture
+def duplicated(small_workload):
+    """The small workload with a third of its rows repeated (multi-id points)."""
+    _, dataset = small_workload
+    rows = [record.values for record in dataset.records]
+    return Dataset(dataset.schema, rows + rows[::3])
+
+
+def _base_encodings(schema):
+    return [encode_domain(attribute.dag) for attribute in schema.partial_order_attributes]
+
+
+class TestCsrBackedPoints:
+    """Points are built on demand from the CSR triple; they must equal an
+    eagerly built reference on both frame backends."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("subset", [False, True], ids=["all-rows", "row-subset"])
+    def test_lazy_points_equal_eager_reference(self, duplicated, backend, subset):
+        encodings = _base_encodings(duplicated.schema)
+        rows = list(range(len(duplicated) - 1, -1, -2)) if subset else None
+        with frame_backend(backend):
+            frame = EncodedFrame.from_dataset(duplicated)
+            assert frame.uses_numpy == (backend == "numpy")
+            mapping = TSSMapping(None, encodings, frame=frame, rows=rows)
+            reference = _eager_reference(duplicated, encodings, rows)
+            assert any(len(point.record_ids) > 1 for point in reference)
+            assert len(mapping) == len(reference)
+            assert [mapping.point(i) for i in range(len(mapping))] == reference
+            assert mapping.points == reference
+            picks = [len(reference) - 1, 0, len(reference) // 2, 0]
+            ids = mapping.record_ids_for(picks)
+            assert ids == [r for i in picks for r in reference[i].record_ids]
+            # Plain Python scalars, never NumPy ones.
+            assert all(type(r) is int for r in ids)
+            point = mapping.point(len(mapping) - 1)
+            assert all(type(c) is float for c in point.coords)
+            assert all(type(r) is int for r in point.record_ids)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_csr_triple_numbers_every_row_once(self, duplicated, backend):
+        with frame_backend(backend):
+            mapping = TSSMapping(duplicated)
+            offsets = list(mapping.point_offsets)
+            assert offsets[0] == 0 and offsets[-1] == len(duplicated)
+            assert len(offsets) == len(mapping) + 1
+            assert sorted(mapping.point_rows) == list(range(len(duplicated)))
+
+
+class TestStoredMapping:
+    @pytest.fixture
+    def store_and_fresh(self, duplicated, tmp_path):
+        pytest.importorskip("numpy")
+        from repro.engine.prefilter import prefilter_survivors
+        from repro.kernels import resolve_kernel
+        from repro.store import DatasetStore, pack_dataset
+
+        path = tmp_path / "mapping.rpro"
+        pack_dataset(duplicated, path)
+        store = DatasetStore.open(path, mmap=True)
+        frame = EncodedFrame.from_dataset(duplicated)
+        survivors = prefilter_survivors(
+            duplicated.schema, None, frame, resolve_kernel("purepython")
+        )
+        fresh = TSSMapping(
+            None, _base_encodings(duplicated.schema), frame=frame.take(survivors)
+        )
+        return store, fresh
+
+    def test_from_stored_over_memmap_equals_fresh_build(self, store_and_fresh):
+        import numpy as np
+
+        store, fresh = store_and_fresh
+        assert store.uses_mmap
+        stored = store.base_mapping()
+        assert len(stored) == len(fresh)
+        assert stored.points == fresh.points
+        assert stored.record_ids_for(range(len(fresh))) == fresh.record_ids_for(
+            range(len(fresh))
+        )
+        assert np.array_equal(stored.mapped_matrix(), fresh.mapped_matrix())
+        assert np.array_equal(stored.point_rows, fresh.point_rows)
+        assert np.array_equal(stored.point_offsets, fresh.point_offsets)
+
+
+#: Section CRC-32s of the packed ``store-roundtrip`` workload below, recorded
+#: when the mapping still built one ``MappedPoint`` per point at pack time:
+#: the CSR-backed mapping must write byte-identical sections.
+PACKED_SECTION_CRCS = {
+    "frame_to": 1084750008,
+    "frame_codes": 479437353,
+    "survivors": 3127664659,
+    "mapped_coords": 609066137,
+    "point_offsets": 2477054293,
+    "point_rows": 3818731646,
+    "tree_points": 1882762521,
+    "tree_payloads": 3310734113,
+    "tree_node_low": 474870206,
+    "tree_node_high": 1589583719,
+    "tree_child_start": 2641191736,
+    "tree_child_end": 1544941962,
+    "tree_entry_mindists": 2270666344,
+    "tree_node_mindists": 4119199979,
+}
+
+
+def _section_crcs(path) -> dict[str, int]:
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + length])
+    return {name: entry["crc32"] for name, entry in header["sections"].items()}
+
+
+def test_pack_writes_unchanged_section_crcs(tmp_path):
+    pytest.importorskip("numpy")
+    from repro.store import pack_dataset
+
+    spec = WorkloadSpec(
+        name="store-roundtrip",
+        cardinality=250,
+        num_total_order=2,
+        num_partial_order=2,
+        dag_height=4,
+        dag_density=0.8,
+        to_domain_size=40,
+        seed=13,
+    )
+    _, dataset = spec.build()
+    path = tmp_path / "crc.rpro"
+    pack_dataset(dataset, path)
+    assert _section_crcs(path) == PACKED_SECTION_CRCS

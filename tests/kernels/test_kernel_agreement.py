@@ -26,6 +26,7 @@ from repro.kernels import (
     get_kernel,
 )
 from repro.order.encoding import encode_domain
+from repro.skyline.base import SkylineStats
 from tests.conftest import mixed_dataset_strategy, random_dag_strategy
 
 numpy = pytest.importorskip("numpy")
@@ -322,6 +323,62 @@ class TestBulkOpsAgreement:
             store.any_weakly_dominates(to_values, po_codes)
             for to_values, po_codes in zip(targets_to, targets_codes)
         ]
+
+
+    @given(
+        dags=st.lists(random_dag_strategy(max_values=9), min_size=1, max_size=2),
+        num_to=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=5_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tdominance_store_ops_match_on_mixed_schemas(self, dags, num_to, seed):
+        """Every t-dominance store op, PO-only schemas included: verdicts
+        equal the reference; MBB charges equal it; point charges are one per
+        member scanned on NumPy and never more on the reference."""
+        rng = random.Random(seed)
+        encodings = [encode_domain(dag) for dag in dags]
+        tables = TDominanceTables.from_encodings(num_to, encodings)
+
+        def row():
+            return (
+                tuple(float(rng.randint(0, 3)) for _ in range(num_to)),
+                tuple(rng.randrange(e.cardinality) for e in encodings),
+            )
+
+        members = [row() for _ in range(rng.randint(0, 14))]
+        targets = [row() for _ in range(rng.randint(1, 10))]
+        highs = [
+            tuple(rng.randint(k, e.cardinality - 1) for e, k in zip(encodings, t[1]))
+            for t in targets
+        ]
+        start = rng.randint(0, len(members))
+        to_rows, code_rows = [t[0] for t in targets], [t[1] for t in targets]
+        outcomes = []
+        for kernel in KERNELS:
+            store = kernel.load_tdominance_store(
+                tables, [m[0] for m in members], [m[1] for m in members]
+            )
+            block_stats, point_stats, mbb_stats = (SkylineStats() for _ in range(3))
+            outcomes.append(
+                (
+                    store.block_weakly_dominated(to_rows, code_rows, block_stats),
+                    [store.any_weakly_dominates(*t, point_stats, start=start) for t in targets],
+                    store.mbb_block_dominated(to_rows, code_rows, highs, mbb_stats),
+                    [
+                        store.mbb_dominated(t[0], t[1], high, mbb_stats, start=start)
+                        for t, high in zip(targets, highs)
+                    ],
+                )
+            )
+            full = len(members) * len(targets)
+            assert mbb_stats.dominance_checks == full + (len(members) - start) * len(targets)
+            point_charges = block_stats.dominance_checks + point_stats.dominance_checks
+            bound = full + (len(members) - start) * len(targets)
+            if kernel.name == "numpy":
+                assert point_charges == bound
+            else:
+                assert point_charges <= bound
+        _assert_all_match(outcomes)
 
 
 class TestStatelessOpsAgreement:

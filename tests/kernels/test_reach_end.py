@@ -6,7 +6,10 @@ covering the range's merged interval set (Section IV-B).  These tests pin the
 two together on random DAGs — including domains whose ranges cross 64-bit
 word boundaries and a paper-style sampled lattice — and check that every
 kernel backend returns the same ``mbb_dominated`` / ``mbb_block_dominated``
-verdicts and charges the same dominance checks.
+verdicts and charges the same dominance checks.  The NumPy store decides
+leaf points from the same table (a point is the range ``[k, k]``) after
+pruning members that cannot cover any target of a block; the point tests
+run on blocks where that prune keeps no member, some, or every member.
 """
 
 from __future__ import annotations
@@ -177,3 +180,145 @@ def test_kernels_agree_on_mbb_verdicts_and_charges(names):
         stats = SkylineStats()
         assert list(store.mbb_block_dominated(*columns, stats)) == want, kernel.name
         assert stats.dominance_checks == len(members) * len(boxes), kernel.name
+
+
+def _prefers(encoding, better: int, worse: int) -> bool:
+    return bool(encoding.closure[better] >> worse & 1)
+
+
+#: (domains, TO columns): PO-only schemas and domains of 64/65/130 values.
+POINT_CASES = [
+    (("singleton",), 2),
+    (("random-64",), 0),
+    (("chain-65", "random-130"), 0),
+    (("random-65", "chain-130"), 2),
+    (("lattice-8-0.8", "random-64"), 1),
+]
+
+
+def _point_blocks(encodings, num_to, rng):
+    """Members plus three target blocks for which the NumPy leaf prune keeps
+    no member, some members, or every member.
+
+    Members have TO values >= 1 and codes >= 1 (0 in a one-value domain).
+    The prune keeps a member iff it is no worse than the block's maximum on
+    every TO column and its code is no greater than the block's maximum
+    code on every PO attribute.
+    """
+
+    def low_code(e):
+        return min(1, e.cardinality - 1)
+
+    def member():
+        return (
+            tuple(float(rng.randint(1, 4)) for _ in range(num_to)),
+            tuple(rng.randint(low_code(e), min(8, e.cardinality - 1)) for e in encodings),
+        )
+
+    members = [member() for _ in range(38)]
+    # One member every "some" block keeps, one it drops.
+    members.append(((1.0,) * num_to, tuple(low_code(e) for e in encodings)))
+    members.append(((4.0,) * num_to, tuple(min(8, e.cardinality - 1) for e in encodings)))
+    rng.shuffle(members)
+
+    def block(to_range, code_high, size=12):
+        return [
+            (
+                tuple(float(rng.randint(*to_range)) for _ in range(num_to)),
+                tuple(rng.randint(0, min(code_high, e.cardinality - 1)) for e in encodings),
+            )
+            for _ in range(size)
+        ]
+
+    none_kept = [((0.0,) * num_to, (0,) * len(encodings))] * 3
+    some_kept = block((1, 2), 4) + [((1.0,) * num_to, tuple(low_code(e) for e in encodings))]
+    every_kept = block((0, 6), 8) + [
+        ((6.0,) * num_to, tuple(e.cardinality - 1 for e in encodings))
+    ]
+    return members, {"none": none_kept, "some": some_kept, "every": every_kept}
+
+
+def _kept_by_prune(members, targets) -> int:
+    to_max = [max(column) for column in zip(*(t[0] for t in targets))]
+    code_max = [max(column) for column in zip(*(t[1] for t in targets))]
+    return sum(
+        all(a <= b for a, b in zip(to, to_max)) and all(c <= m for c, m in zip(codes, code_max))
+        for to, codes in members
+    )
+
+
+@needs_numpy
+@pytest.mark.parametrize("names,num_to", POINT_CASES)
+def test_kernels_agree_on_pruned_point_blocks(names, num_to):
+    """Block and single point tests, plus MBB tests over the same blocks,
+    give the ground-truth verdicts on every backend.  MBB charges equal
+    across backends; point charges are one per member per target on NumPy
+    whatever the prune drops, and never more than that on the early-exiting
+    backends."""
+    rng = random.Random(f"{names}-{num_to}")
+    encodings = [encode_domain(DOMAINS[name]) for name in names]
+    tables = TDominanceTables.from_encodings(num_to, encodings)
+    members, blocks = _point_blocks(encodings, num_to, rng)
+    stores = [
+        kernel.load_tdominance_store(tables, [m[0] for m in members], [m[1] for m in members])
+        for kernel in KERNELS
+    ]
+
+    def dominated(target, start=0):
+        to_values, codes = target
+        return any(
+            all(a <= b for a, b in zip(to, to_values))
+            and all(_prefers(e, c, k) for e, c, k in zip(encodings, member_codes, codes))
+            for to, member_codes in members[start:]
+        )
+
+    def box_dominated(to_low, lows, highs):
+        return any(
+            all(a <= b for a, b in zip(to, to_low))
+            and all(
+                all(_prefers(e, c, k) for k in range(lo, hi + 1))
+                for e, c, lo, hi in zip(encodings, member_codes, lows, highs)
+            )
+            for to, member_codes in members
+        )
+
+    kept = {label: _kept_by_prune(members, targets) for label, targets in blocks.items()}
+    assert kept == {"none": 0, "some": kept["some"], "every": len(members)}
+    assert 0 < kept["some"] < len(members)
+
+    for label, targets in blocks.items():
+        to_rows = [t[0] for t in targets]
+        code_rows = [t[1] for t in targets]
+        want = [dominated(t) for t in targets]
+        full_charge = len(members) * len(targets)
+        for kernel, store in zip(KERNELS, stores):
+            stats = SkylineStats()
+            verdicts = store.block_weakly_dominated(to_rows, code_rows, stats)
+            assert list(verdicts) == want, (kernel.name, label)
+            if kernel.name == "numpy":
+                assert stats.dominance_checks == full_charge, label
+            else:
+                assert stats.dominance_checks <= full_charge, (kernel.name, label)
+            for target in targets:
+                for start in (0, len(members) // 3, len(members)):
+                    stats = SkylineStats()
+                    verdict = store.any_weakly_dominates(*target, stats, start=start)
+                    assert verdict == dominated(target, start), (kernel.name, label, start)
+                    if kernel.name == "numpy":
+                        assert stats.dominance_checks == len(members) - start
+        # The same blocks as MBBs: each target's codes widened into ranges.
+        highs = [
+            tuple(min(k + rng.randint(0, 2), e.cardinality - 1) for e, k in zip(encodings, codes))
+            for codes in code_rows
+        ]
+        want = [box_dominated(to, lo, hi) for to, lo, hi in zip(to_rows, code_rows, highs)]
+        charges = set()
+        for kernel, store in zip(KERNELS, stores):
+            stats = SkylineStats()
+            assert list(store.mbb_block_dominated(to_rows, code_rows, highs, stats)) == want
+            charges.add(stats.dominance_checks)
+            for to, lo, hi, expected in zip(to_rows, code_rows, highs, want):
+                stats = SkylineStats()
+                assert store.mbb_dominated(to, lo, hi, stats) == expected, kernel.name
+                assert stats.dominance_checks == len(members)
+        assert charges == {full_charge}
